@@ -4,8 +4,8 @@ serving run under open-loop Poisson traffic, checked for the subsystem's
 two hard invariants:
 
 * **determinism** — the report (request records, percentiles, goodput,
-  checksum, algorithm provenance) is bit-identical across the ``coop``,
-  ``gen`` and ``threads`` runners and the fused/unfused collective paths;
+  checksum, algorithm provenance) is bit-identical across the ``coop``
+  and ``threads`` runners and the fused/unfused collective paths;
 * **adaptive selection** — the size-adaptive allreduce selector matches
   or beats both fixed algorithm choices on the mixed workload, and its
   provenance shows both the latency-optimal (decode) and
@@ -45,7 +45,7 @@ def _signature(rep):
 
 def main() -> int:
     base = None
-    for runner in ("coop", "gen", "threads"):
+    for runner in ("coop", "threads"):
         for fused in (True, False):
             rep = simulate_serving(CFG, runner=runner, fused=fused)
             sig = (rep.requests, rep.summary(), rep.steps, rep.algorithms)
@@ -55,7 +55,7 @@ def main() -> int:
                 print(f"FAIL: serving report diverged under "
                       f"runner={runner} fused={fused}")
                 return 1
-    print(f"determinism: bit-identical across coop/gen/threads x "
+    print(f"determinism: bit-identical across coop/threads x "
           f"fused/unfused (checksum {base[1]['checksum']:.6f})")
 
     makespans = {}
@@ -88,7 +88,7 @@ def main() -> int:
     plan = FaultPlan(crashes=[RankCrash(rank=1, time=crash_t)],
                      detect_timeout=1e-4)
     crash_base = None
-    for runner in ("coop", "gen", "threads"):
+    for runner in ("coop", "threads"):
         for fused in (True, False):
             crashed = simulate_serving(CFG, faults=plan,
                                        runner=runner, fused=fused)

@@ -17,10 +17,6 @@ RL003     every dereference of the ``faults`` fault-state on the
           ``comm/network.py`` / ``comm/communicator.py`` hot paths is
           dominated by a ``faults is not None`` guard (the no-plan path
           must stay byte-identical to a plan-less network)
-RL004     ``GenEngine`` trampoline code never blocks the trampoline OS
-          thread (no ``acquire``/``wait``/``join``/``sleep``/``queue``
-          outside the sanctioned yield points — suspension is expressed
-          by raising ``_WouldBlock`` only)
 ========  ==================================================================
 
 Run it as ``repro-lint [paths...]`` (console script) or

@@ -234,10 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-bench",
         description="Ok-Topk reproduction experiment driver")
     ap.add_argument(
-        "--runner", choices=["coop", "gen", "threads"], default=None,
-        help="SPMD runner: cooperative engine (default), the "
-             "generator/trampoline engine on one OS thread, or the "
-             "legacy thread-per-rank fallback")
+        "--runner", choices=["coop", "threads"], default=None,
+        help="SPMD runner: cooperative engine (default) or the legacy "
+             "thread-per-rank fallback")
     ap.add_argument(
         "--no-fused", action="store_true",
         help="force the per-message reference path for collectives "

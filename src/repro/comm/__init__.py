@@ -30,7 +30,7 @@ reference rounds); disable it with ``REPRO_FUSED=0``,
 
 from . import collectives
 from .communicator import AsyncRegion, SimComm
-from .engine import Call, CoopEngine, GenEngine, drive_program
+from .engine import CoopEngine
 from .faults import ComputeStraggler, FaultPlan, LinkSlowdown, RankCrash
 from .fused import FUSED_ENV, fusion_enabled
 from .launcher import RUNNER_ENV, SANITIZE_ENV, SpmdResult, \
@@ -52,10 +52,7 @@ __all__ = [
     "sanitize_enabled",
     "FUSED_ENV",
     "fusion_enabled",
-    "Call",
     "CoopEngine",
-    "GenEngine",
-    "drive_program",
     "Request",
     "SendRequest",
     "RecvRequest",

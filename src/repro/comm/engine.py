@@ -32,13 +32,10 @@ scheduler bounce in between.  Consequences:
 
 from __future__ import annotations
 
-import inspect
 import random
 import threading
-from collections import Counter, deque
-from typing import Any, Callable, Dict, List, Tuple
-
-from typing import Optional
+from collections import deque
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import CommError, DeadlockError, RankFailedError, \
     SimulatedRankCrash
@@ -262,20 +259,15 @@ class CoopEngine:
                 # participant died while we were parked.
                 raise net._fail_detect(rank)
             return rv.results[rank]
-        # Last arrival: run the whole collective as one fused dispatch.
+        # Last arrival: run the whole collective as one fused dispatch,
+        # then ready the parked participants in rank order.
         self._rv = None
         rv.results = executor(net, sig, rv.payloads)
-        self._finish_rendezvous(rv)
-        return rv.results[rank]
-
-    def _finish_rendezvous(self, rv: _Rendezvous) -> None:
-        """Ready the parked participants of a completed rendezvous in
-        rank order (hook: the generator engine also has to hand each
-        parked continuation its result slot)."""
         parked = self._rv_parked
         self._rv_parked = []
         parked.sort()
         self._ready.extend(parked)
+        return rv.results[rank]
 
     def shrink(self, rank: int) -> tuple:
         """Engine side of :meth:`Network.shrink`: park ``rank`` at the
@@ -377,8 +369,7 @@ class CoopEngine:
         """Pick (and un-book) the next blocked rank to wake when nobody
         is runnable, following the priority order documented in
         :meth:`_hand_off`; ``None`` means no rank is blocked (the
-        section is complete).  Shared with the generator engine, whose
-        "wake" is a re-step instead of a lock release."""
+        section is complete)."""
         if not (self._waiting or self._rv_parked or self._shrink_waiting):
             return None
         net = self.net
@@ -483,444 +474,3 @@ class CoopEngine:
                 except RuntimeError:
                     pass
                 raise
-
-
-# ---------------------------------------------------------------------------
-# Generator engine: continuation-passing without carrier threads
-# ---------------------------------------------------------------------------
-class _WouldBlock(BaseException):
-    """Internal control-flow signal of :class:`GenEngine`: a blocking
-    primitive, executed on the trampoline thread, found it would have to
-    suspend.  The engine catches it, leaves the rank parked (the
-    bookkeeping was already done by the raiser) and retries the same
-    operation when the rank is woken.  Every primitive that raises it is
-    retry-idempotent: the pre-park section only checks state or registers
-    the rank in a wait set, so re-running it after the wake reproduces
-    the threaded engine's post-wake code path exactly.
-
-    Derived from ``BaseException`` so a program-level ``except
-    Exception`` cannot swallow a suspension.  Note it unwinds through
-    the *engine's* frames only — the rank program itself is suspended at
-    its ``yield`` and sees nothing.
-    """
-
-
-class Call:
-    """Generator-program escape hatch: ``result = yield Call(fn)`` runs
-    ``fn()`` on the rank's lazily-spawned carrier thread, where blocking
-    communication parks the OS thread exactly as under
-    :class:`CoopEngine`.  Needed for subroutines that are *not*
-    retry-idempotent — anything that posts messages before it might
-    block (``sendrecv``, the dense collectives, reduce sessions).  Plain
-    thunks (``yield lambda: ...``) stay on the trampoline and cover
-    ``recv``, ``irecv``/``waitall``, ``isend``, compute charges and
-    fused collectives."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[], Any]):
-        self.fn = fn
-
-
-def drive_program(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Adapt a generator rank-program to a plain blocking one.
-
-    The wrapper trampolines the generator on the calling (rank) thread,
-    executing each yielded thunk (or :class:`Call` body) inline — under
-    the threaded or cooperative runner the blocking calls simply block
-    the rank's own thread.  One program source therefore runs under
-    every runner, which is what the four-way equivalence tests compare.
-    """
-
-    def driven(comm, *args, **kwargs):
-        gen = fn(comm, *args, **kwargs)
-        try:
-            op = gen.send(None)
-            while True:
-                if op is None:
-                    op = gen.send(None)
-                    continue
-                target = op.fn if isinstance(op, Call) else op
-                try:
-                    value = target()
-                except _WouldBlock:  # pragma: no cover - inline never parks
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - into program
-                    op = gen.throw(exc)
-                else:
-                    op = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-
-    driven.__name__ = getattr(fn, "__name__", "driven")
-    return driven
-
-
-class GenEngine(CoopEngine):
-    """Continuation-passing scheduler for generator rank-programs.
-
-    Rank programs are *generator functions*: they ``yield`` a zero-arg
-    thunk at every blocking point and receive the thunk's result back
-    from the engine.  All rank continuations live on **one** OS thread
-    (the launcher's): a thunk that would block raises
-    :class:`_WouldBlock` after registering the rank in the engine's wait
-    sets, the trampoline moves on to the next runnable rank, and the
-    thunk is re-run when the rank is woken — the per-hand-off lock
-    dance (two futex transitions plus an OS context switch) of the
-    parked-thread engine disappears entirely.
-
-    Scheduling order, wait-set bookkeeping, abort/death/deadlock
-    priorities and the rendezvous protocol are shared with
-    :class:`CoopEngine` (same ``_ready`` deque, same ``_next_blocked``),
-    so results, counters, clocks and failure attribution are
-    bit-identical to the other runners.
-
-    Non-generator programs are delegated to :class:`CoopEngine`
-    unchanged; ``yield Call(fn)`` gives generator programs access to
-    non-retry-idempotent subroutines via a per-rank carrier thread that
-    parks exactly like a coop rank.
-    """
-
-    def __init__(self, net: Network, nranks: int, *,
-                 fused: Optional[bool] = None,
-                 schedule_seed: Optional[int] = None):
-        super().__init__(net, nranks, fused=fused,
-                         schedule_seed=schedule_seed)
-        self._gens: List[Any] = [None] * nranks
-        self._pending: List[Optional[Callable[[], Any]]] = [None] * nranks
-        self._carrier: List[Optional[threading.Thread]] = [None] * nranks
-        self._on_carrier = [False] * nranks
-        self._carrier_job: List[Optional[Callable[[], Any]]] = \
-            [None] * nranks
-        self._carrier_ret: List[Optional[tuple]] = [None] * nranks
-        #: results for rendezvous-parked generator ranks, by rank
-        self._gen_rv_results: Dict[int, Any] = {}
-        #: ranks that already yielded once inside a try_match poll
-        self._gen_polled: set[int] = set()
-        #: ranks woken from the shrink barrier (retry returns the result)
-        self._gen_shrunk: set[int] = set()
-        self._tramp_ident: Optional[int] = None
-        #: True while the trampoline is executing a yielded thunk — the
-        #: only context where a would-park primitive may raise
-        #: :class:`_WouldBlock` (a park from plain generator-body code
-        #: would destroy the generator frame, see :meth:`_park`).
-        self._in_thunk = False
-        self._tramp_lock = threading.Lock()
-        self._tramp_lock.acquire()
-        self._gen_results: Optional[List[Any]] = None
-        self._gen_failures: Optional[Dict[int, BaseException]] = None
-
-    # -- program launch -------------------------------------------------
-    def run(self, fn: Callable[..., Any], args: tuple, kwargs: dict,
-            ) -> Tuple[List[Any], Dict[int, BaseException]]:
-        if not inspect.isgeneratorfunction(fn):
-            # Ordinary blocking programs: carrier threads for everyone —
-            # i.e. exactly the cooperative engine.
-            return super().run(fn, args, kwargs)
-        net = self.net
-        if net._sched is not None:
-            raise RuntimeError("network already driven by another engine")
-        results: List[Any] = [None] * self.nranks
-        failures: Dict[int, BaseException] = {}
-        self._gen_results, self._gen_failures = results, failures
-        self._tramp_ident = threading.get_ident()
-        net._sched = self
-        net._begin_section()
-        try:
-            comms = [SimComm(net, r) for r in range(self.nranks)]
-            self._gens = [fn(c, *args, **kwargs) for c in comms]
-            self._ready.extend(range(self.nranks))
-            self._trampoline()
-        finally:
-            net._sched = None
-            self._tramp_ident = None
-            self._drain_loans()
-            for r, th in enumerate(self._carrier):
-                if th is not None:
-                    self._carrier_job[r] = None
-                    self._resume[r].release()
-                    th.join()
-                    self._carrier[r] = None
-        return results, failures
-
-    def _trampoline(self) -> None:
-        while True:
-            if self._ready:
-                rank = self._pop_ready()
-                if self._on_carrier[rank]:
-                    # the continuation is a parked carrier thread: hand
-                    # it the token and wait for it to come back
-                    self._resume[rank].release()
-                    self._tramp_lock.acquire()
-                    continue
-                self._step(rank)
-                continue
-            rank = self._next_blocked()
-            if rank is None:
-                return
-            self._ready.append(rank)
-
-    # -- one continuation step ------------------------------------------
-    def _run_thunk(self, thunk: Callable[[], Any]) -> Any:
-        """Execute a yielded thunk with parking enabled (see ``_in_thunk``)."""
-        self._in_thunk = True
-        try:
-            return thunk()
-        finally:
-            self._in_thunk = False
-
-    def _step(self, rank: int) -> None:
-        gen = self._gens[rank]
-        if gen is None:
-            return  # stale wake of an already-finished rank
-        try:
-            ret = self._carrier_ret[rank]
-            if ret is not None:
-                self._carrier_ret[rank] = None
-                kind, value = ret
-                op = gen.send(value) if kind == "ok" else gen.throw(value)
-            elif self._pending[rank] is not None:
-                thunk = self._pending[rank]
-                try:
-                    value = self._run_thunk(thunk)
-                except _WouldBlock:
-                    return  # still parked; wait bookkeeping already done
-                except BaseException as exc:  # noqa: BLE001 - into program
-                    self._pending[rank] = None
-                    op = gen.throw(exc)
-                else:
-                    self._pending[rank] = None
-                    op = gen.send(value)
-            else:
-                op = gen.send(None)
-            while True:
-                if op is None:
-                    # bare cooperative yield: requeue behind the runnable
-                    self._ready.append(rank)
-                    return
-                if isinstance(op, Call):
-                    self._dispatch_carrier(rank, op.fn)
-                    return
-                try:
-                    value = self._run_thunk(op)
-                except _WouldBlock:
-                    self._pending[rank] = op
-                    return
-                except BaseException as exc:  # noqa: BLE001 - into program
-                    op = gen.throw(exc)
-                else:
-                    op = gen.send(value)
-        except StopIteration as stop:
-            self._gen_results[rank] = stop.value
-            self._finish_rank(rank)
-        except SimulatedRankCrash as exc:
-            # Planned fail-stop: no abort (see _rank_main).
-            self._gen_failures[rank] = exc
-            self._finish_rank(rank)
-        except RankFailedError as exc:
-            self._gen_failures[rank] = exc
-            self._finish_rank(rank)
-        except CommError as exc:
-            if not self.net.aborted or not self._gen_failures:
-                self._gen_failures[rank] = exc
-            self.net.abort(exc)
-            self._finish_rank(rank)
-        except BaseException as exc:  # noqa: BLE001 - must unblock peers
-            self._gen_failures[rank] = exc
-            self.net.abort(exc)
-            self._finish_rank(rank)
-
-    def _finish_rank(self, rank: int) -> None:
-        self._gens[rank] = None
-        self.net._on_rank_exit(rank)
-        self._check_shrink()
-
-    # -- carrier threads (Call escape hatch) ----------------------------
-    def _dispatch_carrier(self, rank: int, fn: Callable[[], Any]) -> None:
-        self._carrier_job[rank] = fn
-        self._on_carrier[rank] = True
-        if self._carrier[rank] is None:
-            th = threading.Thread(target=self._carrier_main, args=(rank,),
-                                  daemon=True, name=f"gen-carrier-{rank}")
-            self._carrier[rank] = th
-            th.start()
-        self._resume[rank].release()
-        self._tramp_lock.acquire()
-
-    def _carrier_main(self, rank: int) -> None:
-        while True:
-            self._resume[rank].acquire()
-            job = self._carrier_job[rank]
-            if job is None:
-                return  # engine shutdown
-            self._carrier_job[rank] = None
-            try:
-                self._carrier_ret[rank] = ("ok", job())
-            except BaseException as exc:  # noqa: BLE001 - into program
-                self._carrier_ret[rank] = ("err", exc)
-            self._on_carrier[rank] = False
-            self._ready.append(rank)
-            self._hand_off()
-
-    def _on_trampoline(self) -> bool:
-        return threading.get_ident() == self._tramp_ident
-
-    def _require_thunk(self) -> None:
-        """Guard a would-park path: parking is only legal while executing
-        a yielded thunk.  A park raised from plain generator-body code
-        would propagate through the generator frame and destroy it, so
-        that case is reported as a programming error with the fix
-        spelled out."""
-        if not self._in_thunk:
-            raise RuntimeError(
-                "blocking call in a generator rank-program body would "
-                "park: yield it as a zero-arg thunk (retry-safe "
-                "primitives like recv/waitall/fused_collective) or as "
-                "Call(fn) (non-retry-safe subroutines like sendrecv or "
-                "the dense collectives) instead")
-
-    def _hand_off(self) -> None:
-        """Token passing with a mixed population: parked carrier threads
-        are woken directly; generator continuations (and the blocked/
-        done logic) belong to the trampoline."""
-        if self._tramp_ident is None:
-            # non-generator section: plain cooperative behavior
-            super()._hand_off()
-            return
-        if self._sched_rng is None and self._ready \
-                and self._on_carrier[self._ready[0]]:
-            # Fast path: wake a parked carrier directly.  Skipped under
-            # schedule perturbation so every pick funnels through
-            # _pop_ready on the trampoline (which handles carriers too) —
-            # semantically equivalent, one extra lock round-trip.
-            self._resume[self._ready.popleft()].release()
-            return
-        self._tramp_lock.release()
-
-    # -- blocking primitives, trampoline flavor -------------------------
-    def match_blocking(self, dst: int, source: int, tag: int) -> Message:
-        if not self._on_trampoline():
-            return super().match_blocking(dst, source, tag)
-        net = self.net
-        net._check_abort()
-        if net.faults is not None:
-            net._crash_check(dst)
-        msg = net._pop_match(dst, source, tag)
-        if msg is not None:
-            return msg
-        if net._dead and source in net._failed_peers():
-            raise net._fail_detect(dst)
-        self._require_thunk()
-        self._waiting[dst] = (source, tag)
-        raise _WouldBlock()
-
-    def ensure_recvs(self, dst: int, needs) -> None:
-        """Pre-flight for ``waitall``: park until every needed channel
-        holds enough messages, *without consuming any* — the retried
-        ``waitall`` must start from unconsumed state.  No-op on carrier
-        threads (their blocking pops park the thread as usual)."""
-        if not self._on_trampoline():
-            return
-        net = self.net
-        queues = net._queues[dst]
-        failed = net._failed_peers() if net._dead else ()
-        for key, count in Counter(needs).items():
-            chan = queues.get(key)
-            if chan is None or len(chan) < count:
-                if key[0] in failed:
-                    # This channel can never fill: let the waitall run —
-                    # its blocking pop raises RankFailedError at exactly
-                    # the request position the threaded engine would.
-                    continue
-                self._require_thunk()
-                self._waiting[dst] = key
-                raise _WouldBlock()
-
-    def collective(self, rank: int, sig: tuple, payload, executor):
-        if not self._on_trampoline():
-            return super().collective(rank, sig, payload, executor)
-        slots = self._gen_rv_results
-        if rank in slots:
-            # woken by rendezvous completion: deliver our result slot
-            self.net._check_abort()
-            return slots.pop(rank)
-        net = self.net
-        net._check_abort()
-        if net.faults is not None:
-            net._crash_check(rank)
-        if net._dead:
-            raise net._fail_detect(rank)
-        rv = self._rv
-        if rv is None:
-            rv = self._rv = _Rendezvous(sig, self.nranks)
-        elif rv.sig != sig:
-            exc = CommError(
-                f"fused collective mismatch: rank {rank} entered {sig[0]!r} "
-                f"{sig!r} while other ranks are in {rv.sig!r} — all ranks "
-                f"must run the same collectives in the same order")
-            net.abort(exc)
-            raise exc
-        if rv.count + 1 < self.nranks:
-            self._require_thunk()  # this arrival parks: thunk context only
-        rv.payloads[rank] = payload
-        rv.count += 1
-        if rv.count < self.nranks:
-            self._rv_parked.append(rank)
-            raise _WouldBlock()
-        self._rv = None
-        rv.results = executor(net, sig, rv.payloads)
-        self._finish_rendezvous(rv)
-        return rv.results[rank]
-
-    def _finish_rendezvous(self, rv: _Rendezvous) -> None:
-        parked = self._rv_parked
-        self._rv_parked = []
-        parked.sort()
-        for r in parked:
-            if not self._on_carrier[r]:
-                self._gen_rv_results[r] = rv.results[r]
-        self._ready.extend(parked)
-
-    def try_match(self, dst: int, source: int, tag: int):
-        if not self._on_trampoline():
-            return super().try_match(dst, source, tag)
-        net = self.net
-        if dst in self._gen_polled:
-            # second attempt after the fairness yield: answer directly
-            # (mirrors the threaded post-wake pop, miss or hit)
-            self._gen_polled.discard(dst)
-            net._check_abort()
-            return net._pop_match(dst, source, tag)
-        net._check_abort()
-        if net.faults is not None:
-            net._crash_check(dst)
-        msg = net._pop_match(dst, source, tag)
-        if msg is None and net._dead and source in net._failed_peers():
-            raise net._fail_detect(dst)
-        if msg is not None or not self._ready or not self._in_thunk:
-            # direct body-code polls answer immediately (no fairness
-            # yield possible without a thunk to retry)
-            return msg
-        self._gen_polled.add(dst)
-        self._ready.append(dst)
-        raise _WouldBlock()
-
-    def shrink(self, rank: int) -> tuple:
-        if not self._on_trampoline():
-            return super().shrink(rank)
-        net = self.net
-        if rank in self._gen_shrunk:
-            # woken from the barrier (completion or abort): post-wake path
-            self._gen_shrunk.discard(rank)
-            net._check_abort()
-            return net._shrink_result
-        net._failstop.discard(rank)
-        net._shrink_parked.add(rank)
-        epoch = net._shrink_epoch
-        self._check_shrink()
-        if net._shrink_epoch == epoch:
-            self._require_thunk()
-            self._shrink_waiting.add(rank)
-            self._gen_shrunk.add(rank)
-            raise _WouldBlock()
-        return net._shrink_result

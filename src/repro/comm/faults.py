@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import inf
+from math import inf, isfinite
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -81,9 +81,9 @@ class LinkSlowdown:
     t_end: float = inf
 
     def __post_init__(self) -> None:
-        if self.factor <= 0.0:
-            raise ConfigError(f"link slowdown factor must be > 0, "
-                              f"got {self.factor}")
+        if not (isfinite(self.factor) and self.factor > 0.0):
+            raise ConfigError(f"link slowdown factor must be finite and "
+                              f"> 0, got {self.factor}")
         if self.direction not in ("egress", "ingress", "both"):
             raise ConfigError(
                 f"unknown link direction {self.direction!r}; expected "
@@ -103,8 +103,8 @@ class ComputeStraggler:
     t_end: float = inf
 
     def __post_init__(self) -> None:
-        if self.factor <= 0.0:
-            raise ConfigError(f"straggler factor must be > 0, "
+        if not (isfinite(self.factor) and self.factor > 0.0):
+            raise ConfigError(f"straggler factor must be finite and > 0, "
                               f"got {self.factor}")
         _check_window(self.t_start, self.t_end,
                       f"ComputeStraggler(rank={self.rank})")
@@ -126,8 +126,10 @@ class RankCrash:
             raise ConfigError(
                 f"RankCrash(rank={self.rank}): exactly one of time= or "
                 "iteration= must be set")
-        if self.time is not None and self.time < 0.0:
-            raise ConfigError("crash time must be >= 0")
+        if self.time is not None \
+                and not (isfinite(self.time) and self.time >= 0.0):
+            raise ConfigError(
+                f"crash time must be finite and >= 0, got {self.time}")
         if self.iteration is not None and self.iteration < 1:
             raise ConfigError("crash iteration must be >= 1 (1-based)")
 
@@ -151,8 +153,10 @@ class FaultPlan:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.detect_timeout < 0.0:
-            raise ConfigError("detect_timeout must be >= 0")
+        if not (isfinite(self.detect_timeout)
+                and self.detect_timeout >= 0.0):
+            raise ConfigError(f"detect_timeout must be finite and >= 0, "
+                              f"got {self.detect_timeout}")
         seen = set()
         for c in self.crashes:
             if c.rank in seen:

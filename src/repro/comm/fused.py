@@ -95,24 +95,19 @@ UNFUSED = object()
 #: environment variable disabling the fused fast path ("0"/"false"/"off")
 FUSED_ENV = "REPRO_FUSED"
 
-#: profitability floors for the dense fused collectives (allreduce,
+#: profitability floor for the dense fused collectives (allreduce,
 #: reduce-scatter/allgather ring, reduce): worlds smaller than
-#: ``REPRO_FUSED_MIN_RANKS`` ranks, or payloads smaller than
-#: ``REPRO_FUSED_MIN_WPR`` words per rank, take the per-message path
-#: instead (recorded in ``algorithm_log`` as mode ``"unfused-small"``).
-#: Simulated time is identical either way; the floors are wall-clock-only.
+#: ``REPRO_FUSED_MIN_RANKS`` ranks take the per-message path instead
+#: (recorded in ``algorithm_log`` as mode ``"unfused-small"``).
+#: Simulated time is identical either way; the floor is wall-clock-only.
 FUSED_MIN_RANKS_ENV = "REPRO_FUSED_MIN_RANKS"
-FUSED_MIN_WPR_ENV = "REPRO_FUSED_MIN_WPR"
 
-#: measured single-core defaults (see BENCH_PERF meta): at P <= 3 the
+#: measured single-core default (see BENCH_PERF meta): at P <= 3 the
 #: rendezvous park/wake plus central replay never beats the handful of
 #: per-message posts (fused/reference ratios 0.75-1.10 across payloads of
 #: 16..50k words), while at P >= 4 fusion wins at every measured size down
-#: to one word per rank (1.04x-4.3x) — so the rank floor is 4 and the
-#: words-per-rank floor defaults to 0 (a knob for hosts where tiny fused
-#: payloads measure slower than this box).
+#: to one word per rank (1.04x-4.3x) — so the rank floor is 4.
 _MIN_RANKS_DEFAULT = 4
-_MIN_WPR_DEFAULT = 0
 
 
 def fusion_enabled() -> bool:
@@ -121,21 +116,14 @@ def fusion_enabled() -> bool:
         "0", "false", "off", "no")
 
 
-def _floor_from_env(env: str, default: int) -> int:
-    raw = os.environ.get(env)
-    if raw is None:
-        return default
+def fusion_min_ranks() -> int:
+    """The world size below which dense-collective fusion is skipped
+    (``REPRO_FUSED_MIN_RANKS``; unparsable values fall back to the
+    default)."""
     try:
-        return int(raw)
+        return int(os.environ.get(FUSED_MIN_RANKS_ENV, _MIN_RANKS_DEFAULT))
     except ValueError:
-        return default
-
-
-def fusion_floors() -> Tuple[int, int]:
-    """The ``(min_ranks, min_words_per_rank)`` profitability floors below
-    which dense-collective fusion is skipped (env-overridable)."""
-    return (_floor_from_env(FUSED_MIN_RANKS_ENV, _MIN_RANKS_DEFAULT),
-            _floor_from_env(FUSED_MIN_WPR_ENV, _MIN_WPR_DEFAULT))
+        return _MIN_RANKS_DEFAULT
 
 
 def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
@@ -143,16 +131,14 @@ def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
 
     Fusion replaces ``O(P log P)`` per-message park/wake cycles with one
     rendezvous plus a vectorized replay — a win that has to amortize the
-    rendezvous itself.  When the world or the payload is below the
-    :func:`fusion_floors`, the per-message path is faster in wall-clock
+    rendezvous itself.  When the world is below
+    :func:`fusion_min_ranks`, the per-message path is faster in wall-clock
     terms (simulated results/clocks/counters are bit-identical either
     way), so the entry point returns :data:`UNFUSED` and the skip is
     recorded once per call in :attr:`Network.algorithm_log` under mode
     ``"unfused-small"`` — auditable next to the reference path's own
     ``forced``/``auto``/``adaptive`` entries."""
-    min_ranks, min_wpr = fusion_floors()
-    p = comm.size
-    if p >= min_ranks and nwords_ >= min_wpr * p:
+    if comm.size >= fusion_min_ranks():
         return False
     if comm.rank == 0:  # once per collective call, not once per rank
         comm.net.note_algorithm(collective, algorithm, "unfused-small",

@@ -32,19 +32,18 @@ dead ranks; the launcher merges those into one error.
 
 from __future__ import annotations
 
+import inspect
 import os
 import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Callable, Dict, List, Optional
-
-import inspect
 
 import numpy as np
 
 from ..errors import CommError, LoanViolationError, MailboxLeakError, \
     RankFailedError, ScheduleRaceError, SimulatedRankCrash
 from .communicator import SimComm
-from .engine import CoopEngine, GenEngine, drive_program
+from .engine import CoopEngine
 from .faults import FaultPlan
 from .model import NetworkModel
 from .network import Network, TrafficStats
@@ -66,8 +65,6 @@ _RUNNER_ALIASES = {
     "cooperative": "coop",
     "threads": "threads",
     "threaded": "threads",
-    "gen": "gen",
-    "generator": "gen",
 }
 
 
@@ -160,7 +157,7 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             ``isend`` buffer was made writable during its loan window,
             (2) raises :class:`repro.errors.MailboxLeakError` if any
             message was left undelivered, and (3) — fresh-network,
-            fault-free, multi-rank coop/gen sections only — re-runs the
+            fault-free, multi-rank coop sections only — re-runs the
             program under a seeded perturbation of the engine's ready
             queue and raises :class:`repro.errors.ScheduleRaceError`
             unless results, clocks and traffic counters are
@@ -181,7 +178,13 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             :class:`repro.errors.DeadlockError` (cooperative runner only).
             Under a fault plan, planned crashes with non-recovering
             survivors raise one merged error naming the dead ranks.
+        TypeError: if ``fn`` is a generator function.
     """
+    if inspect.isgeneratorfunction(fn):
+        raise TypeError(
+            f"rank program {getattr(fn, '__name__', fn)!r} is a generator "
+            f"function; rank programs are plain callables that block in "
+            f"recv/wait/collectives")
     if network is not None and faults is not None:
         raise ValueError(
             "pass faults= only with a fresh network (the plan is compiled "
@@ -197,23 +200,12 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
             f"network has {net.nranks} ranks but nranks={nranks} requested")
     which = resolve_runner(runner)
 
-    if which != "gen" and inspect.isgeneratorfunction(fn):
-        # Generator rank-programs run under every runner: outside the
-        # generator engine the yielded thunks execute inline on the
-        # rank's own thread (see repro.comm.engine.drive_program).
-        fn = drive_program(fn)
-
     if nranks == 1:
         # Fast path: single rank runs inline on the calling thread (keeps
         # tracebacks simple; payload semantics are the threaded ones).
-        if inspect.isgeneratorfunction(fn):
-            fn = drive_program(fn)
         results, failures = _run_inline(net, fn, args, kwargs)
     elif which == "threads":
         results, failures = _run_threads(net, nranks, fn, args, kwargs)
-    elif which == "gen":
-        results, failures = GenEngine(net, nranks,
-                                      fused=fused).run(fn, args, kwargs)
     else:
         results, failures = CoopEngine(net, nranks,
                                        fused=fused).run(fn, args, kwargs)
@@ -242,9 +234,8 @@ def run_spmd(nranks: int, fn: Callable[..., Any], *args: Any,
     if net.sanitize:
         _sanitize_audit(net)
         if network is None and faults is None and nranks > 1 \
-                and which in ("coop", "gen"):
-            _sanitize_replay(net, nranks, fn, args, kwargs, which, fused,
-                             results)
+                and which == "coop":
+            _sanitize_replay(net, nranks, fn, args, kwargs, fused, results)
     return SpmdResult(results, net)
 
 
@@ -260,14 +251,13 @@ def _sanitize_audit(net: Network) -> None:
 
 
 def _sanitize_replay(net: Network, nranks: int, fn: Callable[..., Any],
-                     args: tuple, kwargs: dict, which: str,
-                     fused: Optional[bool], results: List[Any]) -> None:
+                     args: tuple, kwargs: dict, fused: Optional[bool],
+                     results: List[Any]) -> None:
     """Race detector: re-run the section on a fresh network with a seeded
     ready-queue perturbation and require a bit-identical outcome."""
     net2 = Network(nranks, net.model, sanitize=True)
-    engine_cls = GenEngine if which == "gen" else CoopEngine
     try:
-        results2, failures2 = engine_cls(
+        results2, failures2 = CoopEngine(
             net2, nranks, fused=fused,
             schedule_seed=SANITIZE_SCHEDULE_SEED).run(fn, args, kwargs)
     except ScheduleRaceError:

@@ -27,7 +27,7 @@ fault-aware loop; the plan-less path stays byte-identical to a loop that
 has never heard of faults.
 
 Runs are a pure function of ``(seed, config, plan)`` and bit-identical
-across the ``coop``, ``gen`` and ``threads`` runners — see
+across the ``coop`` and ``threads`` runners — see
 :mod:`repro.serve.loop` for the decision-clock synchronization that keeps
 batching deterministic at non-power-of-two P, and for the recovery
 walkthrough.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,14 +78,19 @@ class Workload:
     def __post_init__(self):
         last = 0.0
         for rq in self.requests:
+            if not isfinite(rq.arrival):
+                raise ConfigError(
+                    f"request {rq.rid} arrival must be finite, "
+                    f"got {rq.arrival}")
             if rq.arrival < last:
                 raise ConfigError("workload arrivals must be non-decreasing")
             if rq.prompt_tokens < 1 or rq.output_tokens < 1:
                 raise ConfigError(
                     f"request {rq.rid} needs >= 1 prompt and output token")
-            if rq.deadline is not None and rq.deadline <= 0:
+            if rq.deadline is not None \
+                    and not (isfinite(rq.deadline) and rq.deadline > 0):
                 raise ConfigError(
-                    f"request {rq.rid} deadline must be > 0, "
+                    f"request {rq.rid} deadline must be finite and > 0, "
                     f"got {rq.deadline}")
             last = rq.arrival
 
@@ -120,8 +126,8 @@ class Workload:
         relative completion SLO."""
         if n_requests < 1:
             raise ConfigError(f"n_requests must be >= 1, got {n_requests}")
-        if rate <= 0:
-            raise ConfigError(f"rate must be > 0, got {rate}")
+        if not (isfinite(rate) and rate > 0):
+            raise ConfigError(f"rate must be finite and > 0, got {rate}")
         rng = np.random.default_rng(seed)
         gaps = rng.exponential(1.0 / rate, size=n_requests)
         arrivals = np.cumsum(gaps)

@@ -2,7 +2,7 @@
 
 SPMD data-parallel ranks execute the same numpy kernels at the same
 program points on different data.  Under a rendezvous-capable engine
-(:class:`repro.comm.engine.CoopEngine` and subclasses) this module turns
+(:class:`repro.comm.engine.CoopEngine`) this module turns
 the three per-rank compute hot spots of a training iteration — model
 fwd/bwd, the optimizer's residual accumulation and Ok-Topk's local
 selection — into *one* stacked numpy dispatch over a ``(P, ...)``

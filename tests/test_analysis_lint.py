@@ -351,79 +351,6 @@ class TestRL003:
 
 
 # ---------------------------------------------------------------------------
-# RL004 — GenEngine trampoline blocking discipline (comm/engine.py)
-# ---------------------------------------------------------------------------
-ENG = "src/repro/comm/engine.py"
-
-
-class TestRL004:
-    def test_blocking_call_in_unsanctioned_method_fires(self):
-        src = """
-        class GenEngine:
-            def _step(self, rank):
-                self._tramp_lock.acquire()
-        """
-        assert codes(src, ENG) == ["RL004"]
-
-    def test_time_sleep_fires(self):
-        src = """
-        import time
-        class GenEngine:
-            def match_blocking(self, dst):
-                time.sleep(0.1)
-        """
-        # sleeping in engine code is both nondeterministic (RL001) and a
-        # blocking-discipline violation (RL004)
-        assert codes(src, ENG) == ["RL001", "RL004"]
-
-    def test_threading_primitive_creation_fires(self):
-        src = """
-        import threading
-        class GenEngine:
-            def helper(self):
-                return threading.Event()
-        """
-        assert codes(src, ENG) == ["RL004"]
-
-    def test_sanctioned_methods_pass(self):
-        src = """
-        import threading
-        class GenEngine:
-            def _dispatch_carrier(self, rank, fn):
-                self._resume[rank].release()
-                self._tramp_lock.acquire()
-            def _carrier_main(self, rank):
-                self._resume[rank].acquire()
-        """
-        assert codes(src, ENG) == []
-
-    def test_nonblocking_query_passes(self):
-        src = """
-        import threading
-        class GenEngine:
-            def _on_trampoline(self):
-                return threading.get_ident() == self._tramp_ident
-        """
-        assert codes(src, ENG) == []
-
-    def test_other_classes_not_checked(self):
-        src = """
-        class CoopEngine:
-            def _suspend(self, rank):
-                self._resume[rank].acquire()
-        """
-        assert codes(src, ENG) == []
-
-    def test_other_files_not_checked(self):
-        src = """
-        class GenEngine:
-            def _step(self):
-                self._lock.acquire()
-        """
-        assert codes(src, "src/repro/comm/network.py") == []
-
-
-# ---------------------------------------------------------------------------
 # Suppressions and the RL000 meta-rule
 # ---------------------------------------------------------------------------
 class TestSuppressions:
@@ -530,7 +457,7 @@ class TestReport:
         assert rc == 1
         assert out["counts"] == {"RL001": 1}
         # selecting a rule that cannot fire here exits clean
-        assert main([str(tmp_path), "--select", "RL004"]) == 0
+        assert main([str(tmp_path), "--select", "RL003"]) == 0
         assert main([str(tmp_path), "--select", "RL999"]) == 2
 
     def test_repo_is_clean(self):

@@ -87,6 +87,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "requests=5" in out
 
+    def test_runner_choices(self):
+        ap = build_parser()
+        for runner in ("coop", "threads"):
+            assert ap.parse_args(["--runner", runner, "volume"]).runner \
+                == runner
+        with pytest.raises(SystemExit):
+            ap.parse_args(["--runner", "gen", "volume"])
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["nonsense"])

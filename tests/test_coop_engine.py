@@ -21,6 +21,20 @@ class TestRunnerSelection:
         with pytest.raises(ValueError, match="unknown SPMD runner"):
             resolve_runner("fibers")
 
+    @pytest.mark.parametrize("name", ["gen", "generator", "GEN"])
+    def test_gen_runner_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown SPMD runner"):
+            resolve_runner(name)
+
+    @pytest.mark.parametrize("runner", ["coop", "threads"])
+    def test_generator_program_rejected(self, runner):
+        def gen_prog(comm):
+            yield comm.recv((comm.rank + 1) % comm.size)
+
+        for p in (1, 2):
+            with pytest.raises(TypeError, match="gen_prog"):
+                run_spmd(p, gen_prog, runner=runner)
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(RUNNER_ENV, "threads")
         assert resolve_runner(None) == "threads"

@@ -63,6 +63,55 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="out of range"):
             FaultPlan(crashes=[RankCrash(rank=-1, time=0.0)]).compile(4)
 
+    @pytest.mark.parametrize("text", [
+        '{"crashes": [{"rank": 1, "time": NaN}]}',
+        '{"crashes": [{"rank": 1, "time": Infinity}]}',
+        '{"links": [{"rank": 0, "factor": NaN}]}',
+        '{"links": [{"rank": 0, "factor": Infinity}]}',
+        '{"stragglers": [{"rank": 0, "factor": NaN}]}',
+        '{"stragglers": [{"rank": 0, "factor": Infinity}]}',
+        '{"detect_timeout": NaN}',
+        '{"detect_timeout": Infinity}',
+    ], ids=["crash-time-nan", "crash-time-inf", "link-factor-nan",
+            "link-factor-inf", "straggler-factor-nan",
+            "straggler-factor-inf", "detect-timeout-nan",
+            "detect-timeout-inf"])
+    def test_non_finite_fields_rejected(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            FaultPlan.from_json(text)
+
+    @pytest.mark.parametrize("make", [
+        lambda: RankCrash(rank=1, time=float("nan")),
+        lambda: LinkSlowdown(rank=0, factor=float("nan")),
+        lambda: ComputeStraggler(rank=0, factor=float("inf")),
+        lambda: FaultPlan(detect_timeout=float("nan")),
+    ], ids=["crash-time-nan", "link-factor-nan", "straggler-factor-inf",
+            "detect-timeout-nan"])
+    def test_constructors_reject_non_finite(self, make):
+        with pytest.raises(ConfigError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("text", [
+        '{"links": [{"rank": 0, "factor": 2.0, "t_start": NaN}]}',
+        '{"links": [{"rank": 0, "factor": 2.0, "t_end": NaN}]}',
+        '{"stragglers": [{"rank": 0, "factor": 2.0, "t_start": NaN}]}',
+        '{"stragglers": [{"rank": 0, "factor": 2.0, "t_end": NaN}]}',
+    ], ids=["link-start-nan", "link-end-nan", "straggler-start-nan",
+            "straggler-end-nan"])
+    def test_nan_window_bounds_rejected(self, text):
+        with pytest.raises(ConfigError, match="window"):
+            FaultPlan.from_json(text)
+
+    def test_open_ended_window_still_accepted(self):
+        """``t_end`` defaults to infinity: the finiteness checks on
+        factors and times must not reject an open-ended window."""
+        plan = FaultPlan.from_json(
+            '{"links": [{"rank": 0, "factor": 2.0, "t_end": Infinity}], '
+            '"stragglers": [{"rank": 1, "factor": 3.0, "t_end": Infinity}]}')
+        state = plan.compile(2)
+        assert state.egress_factor(0, 1e9) == 2.0
+        assert state.compute_factor(1, 1e9) == 3.0
+
     def test_json_round_trip(self):
         plan = FaultPlan(
             links=[LinkSlowdown(rank=1, factor=4.0, direction="egress",
@@ -313,6 +362,25 @@ class TestCrashDetection:
         res = run_spmd(2, prog, faults=plan)
         assert res.results[0] == "sent"
         assert set(res.crashed) == {1}
+
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_indifferent_survivors_finish_normally(self, runner):
+        """Survivors that never talk to the dead rank complete the section;
+        the crash is reported in ``SpmdResult.crashed``, not raised."""
+        plan = FaultPlan(crashes=[RankCrash(rank=2, time=0.0)])
+
+        def prog(comm):
+            if comm.rank == 2:
+                comm.send(np.ones(2, np.float32), 0, 5)  # crashes here
+                return None
+            peer = 1 - comm.rank
+            comm.send(comm.rank, peer, 1)
+            return comm.recv(peer, 1)
+
+        res = run_spmd(3, prog, runner=runner, faults=plan)
+        assert set(res.crashed) == {2}
+        assert res.results[0] == 1 and res.results[1] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,10 @@ PS = [2, 3, 4, 5, 8]
 
 @pytest.fixture(autouse=True)
 def _fusion_floors_off(monkeypatch):
-    """Pin the profitability floors to zero so every P in ``PS`` exercises
-    the fused path (the default floors route P <= 3 to the per-message
+    """Pin the profitability floor to zero so every P in ``PS`` exercises
+    the fused path (the default floor routes P <= 3 to the per-message
     path for wall-clock reasons — semantics coverage must not shrink)."""
     monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "0")
-    monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "0")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +280,7 @@ class TestThreeWayBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Profitability floors (words/P + world-size gate)
+# Profitability floor (world-size gate)
 # ---------------------------------------------------------------------------
 class TestFusionFloors:
     def _prog(self, comm):
@@ -290,41 +289,27 @@ class TestFusionFloors:
 
     def test_floor_defaults_and_env_parsing(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
-        assert fused_mod.fusion_floors() == (4, 0)
+        assert fused_mod.fusion_min_ranks() == 4
         monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "2")
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "64")
-        assert fused_mod.fusion_floors() == (2, 64)
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "not-a-number")
-        assert fused_mod.fusion_floors() == (2, 0)
+        assert fused_mod.fusion_min_ranks() == 2
+        monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "not-a-number")
+        assert fused_mod.fusion_min_ranks() == 4
 
     def test_small_world_skip_records_provenance(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
         res = run_spmd(3, self._prog, runner="coop", fused=True)
         log = res.network.algorithm_log
         assert log[("allreduce", "recursive_doubling", "unfused-small")] \
             == {"calls": 1, "words": 256}
         # the reference path ran and recorded its own entry
         assert ("allreduce", "recursive_doubling", "forced") in log
-        # above both floors nothing is skipped
+        # at the floor nothing is skipped
         res = run_spmd(4, self._prog, runner="coop", fused=True)
         assert not any(mode == "unfused-small"
                        for _, _, mode in res.network.algorithm_log)
 
-    def test_words_per_rank_floor(self, monkeypatch):
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "128")
-        res = run_spmd(4, self._prog, runner="coop", fused=True)  # w/P=64
-        assert ("allreduce", "recursive_doubling",
-                "unfused-small") in res.network.algorithm_log
-        monkeypatch.setenv(fused_mod.FUSED_MIN_WPR_ENV, "64")
-        res = run_spmd(4, self._prog, runner="coop", fused=True)
-        assert ("allreduce", "recursive_doubling",
-                "unfused-small") not in res.network.algorithm_log
-
     def test_ring_decomposition_skip_records_both_phases(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
 
         def prog(comm):
             coll.allreduce(comm, np.ones(256, dtype=np.float32),
@@ -339,7 +324,6 @@ class TestFusionFloors:
         """With the default floors tripping (P=2), fused=True must land on
         exactly the reference execution."""
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
-        monkeypatch.delenv(fused_mod.FUSED_MIN_WPR_ENV, raising=False)
         three_way(_collective_torture, 2)
 
 

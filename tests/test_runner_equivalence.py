@@ -110,3 +110,29 @@ class TestTrafficEquivalenceRandomized:
         _assert_network_equal(results)
         for ra, rb in zip(results["coop"].results, results["threads"].results):
             np.testing.assert_array_equal(ra, rb)
+
+    def test_sparse_waitall_storm_clocks(self):
+        """irecv/isend mesh carrying COO payloads; per-iteration clocks,
+        sums and traffic counters must match exactly."""
+        def prog(comm, iters):
+            p, r = comm.size, comm.rank
+            vec = COOVector.from_arrays(
+                512, np.arange(4, dtype=np.int32),
+                np.full(4, float(r + 1), dtype=np.float32))
+            total = 0.0
+            clocks = []
+            for it in range(iters):
+                reqs = []
+                for s in range(1, p):
+                    reqs.append(comm.irecv((r - s) % p, it))
+                    reqs.append(comm.isend(vec, (r + s) % p, it))
+                got = comm.waitall(reqs)
+                total += sum(float(g.values.sum())
+                             for g in got if g is not None)
+                clocks.append(comm.clock)
+            return (total, clocks)
+
+        results = _run_both(5, prog, 4)
+        _assert_network_equal(results)
+        assert results["coop"].results == results["threads"].results
+        assert results["coop"].results[0][0] == 4 * 4 * (2 + 3 + 4 + 5)

@@ -145,18 +145,18 @@ class TestMailboxAudit:
 # schedule-perturbation race detector
 # ---------------------------------------------------------------------------
 class TestRaceDetector:
-    @pytest.mark.parametrize("runner", ["coop", "gen"])
+    @pytest.mark.parametrize("runner", ["coop"])
     def test_order_sensitive_program_flagged(self, runner):
         with pytest.raises(ScheduleRaceError) as exc_info:
             run_spmd(P, _make_racy_prog(), runner=runner, sanitize=True)
         assert exc_info.value.differences
 
-    @pytest.mark.parametrize("runner", ["coop", "gen"])
+    @pytest.mark.parametrize("runner", ["coop"])
     def test_order_sensitive_program_passes_without_sanitizer(self, runner):
         # Deterministic schedule means the race never shows up unperturbed.
         run_spmd(P, _make_racy_prog(), runner=runner)
 
-    @pytest.mark.parametrize("runner", ["coop", "gen"])
+    @pytest.mark.parametrize("runner", ["coop"])
     def test_allreduce_clean_under_perturbation(self, runner):
         res = run_spmd(P, _allreduce_prog, runner=runner, sanitize=True)
         ref = run_spmd(P, _allreduce_prog, runner=runner)
@@ -168,7 +168,7 @@ class TestRaceDetector:
 # transparency: the sanitizer must not change outcomes
 # ---------------------------------------------------------------------------
 class TestTransparency:
-    @pytest.mark.parametrize("runner", ["coop", "gen", "threads"])
+    @pytest.mark.parametrize("runner", ["coop", "threads"])
     def test_results_and_makespan_identical(self, runner):
         base = run_spmd(P, _allreduce_prog, runner=runner)
         sane = run_spmd(P, _allreduce_prog, runner=runner, sanitize=True)

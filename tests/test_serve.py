@@ -3,8 +3,8 @@
 The load-bearing assertions are the ISSUE-7 acceptance criteria:
 
 * a serving run is a pure function of ``(seed, config)`` — bit-identical
-  request records, percentiles, goodput and checksum across the ``coop``,
-  ``gen`` and ``threads`` runners and the fused/unfused collective paths,
+  request records, percentiles, goodput and checksum across the ``coop``
+  and ``threads`` runners and the fused/unfused collective paths,
   including non-power-of-two P (where per-rank clocks legitimately
   diverge and the loop's decision-clock sync is what keeps batching
   deterministic);
@@ -57,6 +57,37 @@ class TestWorkload:
             Workload.poisson(5, 100.0, prompt_tokens=0)
         with pytest.raises(ConfigError):
             Workload((Request(0, 1.0, 4, 1), Request(1, 0.5, 4, 1)))
+
+    @pytest.mark.parametrize("row", [
+        '"arrival": NaN',
+        '"arrival": Infinity',
+        '"arrival": 0.5, "deadline": NaN',
+        '"arrival": 0.5, "deadline": Infinity',
+    ], ids=["arrival-nan", "arrival-inf", "deadline-nan", "deadline-inf"])
+    def test_non_finite_fields_rejected(self, row):
+        text = ('[{"arrival": 0.0, "prompt_tokens": 4, "output_tokens": 1}, '
+                '{' + row + ', "prompt_tokens": 4, "output_tokens": 1}, '
+                '{"arrival": 1.0, "prompt_tokens": 4, "output_tokens": 1}]')
+        with pytest.raises(ConfigError, match="finite"):
+            Workload.from_json(text)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_poisson_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ConfigError, match="rate must be finite"):
+            Workload.poisson(5, rate)
+
+    def test_poisson_rejects_nan_deadline(self):
+        with pytest.raises(ConfigError, match="deadline must be finite"):
+            Workload.poisson(5, 100.0, deadline=float("nan"))
+
+    def test_direct_construction_rejects_nan_arrival(self):
+        """Without the check every later ``<`` against NaN is False, so a
+        NaN arrival would switch off the ordering check for the rest of
+        the stream."""
+        with pytest.raises(ConfigError, match="arrival must be finite"):
+            Workload((Request(0, 0.0, 4, 1), Request(1, float("nan"), 4, 1),
+                      Request(2, -1.0, 4, 1)))
 
     def test_counters(self):
         wl = Workload.from_arrivals([0.0, 1.0, 2.0], [4, 8, 2], [1, 2, 3])
@@ -164,7 +195,7 @@ class TestServing:
     def test_bit_identical_across_runners_and_fused(self, p):
         cfg = replace(SMOKE, p=p, seed=11)
         base = None
-        for runner in ("coop", "gen", "threads"):
+        for runner in ("coop", "threads"):
             for fused in (True, False):
                 rep = simulate_serving(cfg, runner=runner, fused=fused)
                 # "unfused-small" notes a wall-clock profitability skip;
