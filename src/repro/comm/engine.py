@@ -40,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..errors import CommError, DeadlockError, RankFailedError, \
     SimulatedRankCrash
 from .communicator import SimComm
-from .fused import fusion_enabled
+from .fused import fusion_enabled, fusion_min_ranks
 from .message import Message
 from .network import Network
 from .payload import freeze as _freeze
@@ -72,6 +72,9 @@ class CoopEngine:
         #: fused-collective fast path (see repro.comm.fused); resolved
         #: from REPRO_FUSED when not given explicitly
         self.fused = fusion_enabled() if fused is None else bool(fused)
+        #: world size below which dense collectives skip fusion, read
+        #: once here rather than from the environment on every call
+        self.fused_min_ranks = fusion_min_ranks()
         #: schedule-perturbation source (sanitizer race detector): when
         #: set, :meth:`_pop_ready` picks a seeded-random runnable rank
         #: instead of the FIFO head.  Simulated time is

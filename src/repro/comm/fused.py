@@ -137,8 +137,10 @@ def _too_small(comm, collective: str, algorithm: str, nwords_: int) -> bool:
     way), so the entry point returns :data:`UNFUSED` and the skip is
     recorded once per call in :attr:`Network.algorithm_log` under mode
     ``"unfused-small"`` — auditable next to the reference path's own
-    ``forced``/``auto``/``adaptive`` entries."""
-    if comm.size >= fusion_min_ranks():
+    ``forced``/``auto``/``adaptive`` entries.  Callers have passed
+    :func:`_available`, so the engine (which read the floor once at
+    construction) is attached."""
+    if comm.size >= comm.net._sched.fused_min_ranks:
         return False
     if comm.rank == 0:  # once per collective call, not once per rank
         comm.net.note_algorithm(collective, algorithm, "unfused-small",

@@ -20,7 +20,7 @@ Quick tour::
 Serving survives the whole PR-6 fault model under live traffic: pass
 ``simulate_serving(..., faults=FaultPlan(...))`` and slow links and
 stragglers degrade the clock honestly while rank crashes trigger elastic
-shrink-and-resume (checkpointed batcher state, consensus rollback, model
+shrink-and-resume (undo-journaled step boundaries, consensus rollback, model
 rebuild at P-1, deterministic re-enqueue with capped backoff).  Request
 deadlines, timeout reaping and deadline-aware shedding ride the same
 fault-aware loop; the plan-less path stays byte-identical to a loop that

@@ -43,10 +43,18 @@ synchronization points and run elastic recovery:
    step apart (the dead rank's last eager sends can complete one
    survivor's collective but not another's), so survivors allgather their
    last completed step boundary and every rank rolls back to the
-   *minimum* — a checkpoint of batcher queue, active set, token stamps
-   and model carry taken at each boundary (only the last three are
-   retained; the spread is bounded by the decision-clock sync, which
-   requires a post from every rank);
+   *minimum*.  Boundaries are journaled, not copied: before a step first
+   changes a request's entry (admission, token stamps, retries, terminal
+   status) the entry's previous value goes into that step's undo record,
+   and each committed boundary keeps its undo record plus the small loop
+   state (batcher queue, active set, step counters, model carry).  Only
+   the last three boundaries are retained — the spread is bounded by the
+   decision-clock sync, which requires a post from every rank.  Rollback
+   first undoes the uncommitted partial step, then the committed steps
+   newer than the resume boundary, newest first, so a step costs what it
+   touches instead of a copy of every request seen.  The loop itself
+   exits only through one more sync, so a survivor whose last sync
+   completed still joins the rollback of one whose sync failed;
 3. **rebuild** :class:`~repro.serve.model.TPDecodeModel` at the shrunken
    world — gain tables re-derived by consensus from the replicated seed,
    flops re-sharded 1/(P-1), and the adaptive allreduce crossover
@@ -68,7 +76,8 @@ so reports stay bit-identical across runners and fused/unfused paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from math import isfinite
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,6 +124,23 @@ class ServeConfig:
     #: base / cap of the capped exponential retry backoff (simulated s)
     retry_backoff: float = 2e-4
     retry_backoff_cap: float = 2e-3
+
+    def __post_init__(self):
+        # The same rule as Request.deadline: finite and > 0.  A NaN would
+        # break record equality across ranks; zero or negative would time
+        # out every request.
+        if self.deadline is not None \
+                and not (isfinite(self.deadline) and self.deadline > 0):
+            raise ConfigError(
+                f"deadline must be finite and > 0, got {self.deadline}")
+        for name in ("max_wait", "retry_backoff", "retry_backoff_cap"):
+            val = getattr(self, name)
+            if not (isfinite(val) and val >= 0):
+                raise ConfigError(
+                    f"{name} must be finite and >= 0, got {val}")
+        if self.retry_budget < 0:
+            raise ConfigError(
+                f"retry_budget must be >= 0, got {self.retry_budget}")
 
     @property
     def model_config(self) -> TPModelConfig:
@@ -209,59 +235,108 @@ def _rank_serve(comm: SimComm, cfg: ServeConfig, workload: Workload) -> Dict:
     }
 
 
+class _Req(NamedTuple):
+    """Per-request state of the fault-aware loop (immutable: an update
+    replaces the entry, so the undo journal can keep the old one as is)."""
+
+    admitted: Optional[float] = None
+    tokens: Tuple[float, ...] = ()
+    retries: int = 0
+    status: str = "ok"                  # "ok" | "timeout" | "shed"
+
+
+_FRESH = _Req()
+
+#: step boundaries whose state stays restorable (the decision-clock sync
+#: bounds the survivors' spread to less than this)
+_WINDOW = 3
+
+
+class _Journal:
+    """The fault-aware loop's request table and its undo journal.
+
+    Every update records the entry's previous value, once per step, in
+    the undo record of the step in progress.  :meth:`commit` files that
+    record with the boundary's small loop state; :meth:`rollback` undoes
+    the step in progress, then the committed steps newer than the resume
+    boundary, newest first.  A step therefore costs what it touches, not
+    a copy of every request seen."""
+
+    def __init__(self) -> None:
+        self.reqs: Dict[int, _Req] = {}
+        #: rid -> entry before the step in progress (``None``: absent)
+        self._undo: Dict[int, Optional[_Req]] = {}
+        #: boundary -> (undo record of the step that ended there, state)
+        self._window: Dict[int, Tuple[Dict[int, Optional[_Req]], tuple]] = {}
+
+    def get(self, rid: int) -> _Req:
+        return self.reqs.get(rid, _FRESH)
+
+    def update(self, rid: int, **changes) -> None:
+        old = self.reqs.get(rid)
+        if rid not in self._undo:
+            self._undo[rid] = old
+        self.reqs[rid] = (_FRESH if old is None else old)._replace(**changes)
+
+    def commit(self, boundary: int, state: tuple) -> None:
+        self._window[boundary] = (self._undo, state)
+        self._undo = {}
+        self._window.pop(boundary - _WINDOW, None)
+
+    def rollback(self, boundary: int, resume: int) -> tuple:
+        """Restore the request table as of ``resume`` (within the window)
+        and return the loop state committed there."""
+        self._apply(self._undo)
+        self._undo = {}
+        for b in range(boundary, resume, -1):
+            self._apply(self._window.pop(b)[0])
+        return self._window[resume][1]
+
+    def _apply(self, undo: Dict[int, Optional[_Req]]) -> None:
+        reqs = self.reqs
+        for rid, old in undo.items():
+            if old is None:
+                del reqs[rid]
+            else:
+                reqs[rid] = old
+
+
 def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                         workload: Workload, faults) -> Dict:
     """The fault-aware serving loop (see the module docstring's recovery
     walkthrough).  Same decision structure as :func:`_rank_serve`, plus
-    per-boundary checkpoints, deadline/timeout/shed handling, and elastic
-    shrink-and-resume on :class:`~repro.errors.RankFailedError`."""
+    journaled step boundaries, deadline/timeout/shed handling, and
+    elastic shrink-and-resume on :class:`~repro.errors.RankFailedError`."""
     assert faults is not None  # dispatch contract; guards every deref below
     detect_timeout = faults.detect_timeout
     model = TPDecodeModel(cfg.model_config, comm,
                           algorithm=cfg.algorithm, seed=cfg.seed)
-    batcher = DynamicBatcher(workload, cfg.max_batch_size, cfg.max_wait)
-    admitted_at: Dict[int, float] = {}
-    token_times: Dict[int, List[float]] = {}
-    retries: Dict[int, int] = {}
-    terminal: Dict[int, str] = {}       # rid -> "timeout" | "shed"
-    active: List[List] = []             # [request, tokens_emitted]
+    batcher = DynamicBatcher(workload, cfg.max_batch_size, cfg.max_wait,
+                             deadline=cfg.deadline)
+    journal = _Journal()
+    active: List[Tuple[Request, int]] = []  # (request, tokens_emitted)
     events: List[Dict] = []
     known_dead: set = set()
     prefill_batches = 0
     decode_steps = 0
     step_no = 0                         # decision-loop pass (1-based)
 
-    def deadline_at(rq: Request) -> Optional[float]:
-        return rq.deadline_at(cfg.deadline)
-
-    def snap() -> Dict:
-        """Checkpoint of everything a step boundary determines.  The
+    def loop_state() -> tuple:
+        """What a boundary determines besides the request table.  The
         model part is world-size independent, so it restores into a
         rebuilt post-shrink model."""
-        return {
-            "queue": batcher.snapshot(),
-            "active": [list(pair) for pair in active],
-            "token_times": {rid: list(ts)
-                            for rid, ts in token_times.items()},
-            "admitted_at": dict(admitted_at),
-            "retries": dict(retries),
-            "terminal": dict(terminal),
-            "prefill_batches": prefill_batches,
-            "decode_steps": decode_steps,
-            "step_no": step_no,
-            "model": model.snapshot(),
-        }
+        return (batcher.snapshot(), tuple(active), prefill_batches,
+                decode_steps, step_no, model.snapshot())
 
     boundary = 0                        # completed stamping boundaries
-    ckpts: Dict[int, Dict] = {0: snap()}
+    journal.commit(0, loop_state())
     failure: Optional[RankFailedError] = None
     t: Optional[float] = None
 
     def commit_boundary() -> None:
         nonlocal boundary
         boundary += 1
-        ckpts[boundary] = snap()
-        ckpts.pop(boundary - 3, None)
+        journal.commit(boundary, loop_state())
         # first stamp after a shrink closes that event's recovery window
         if events and "recovery_time" not in events[-1]:
             events[-1]["first_token"] = t
@@ -284,24 +359,16 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                 # failure one boundary apart; everyone resumes from the
                 # minimum completed boundary.
                 resume = min(coll.allgather_object(comm, boundary))
-                s = ckpts[resume]
-                batcher.restore(s["queue"])
-                active = [list(pair) for pair in s["active"]]
-                token_times = {rid: list(ts)
-                               for rid, ts in s["token_times"].items()}
-                admitted_at = dict(s["admitted_at"])
-                retries = dict(s["retries"])
-                terminal = dict(s["terminal"])
-                prefill_batches = s["prefill_batches"]
-                decode_steps = s["decode_steps"]
-                step_no = s["step_no"]
+                (queue, active_at, prefill_batches, decode_steps, step_no,
+                 model_at) = journal.rollback(boundary, resume)
+                batcher.restore(queue)
+                active = list(active_at)
                 model = TPDecodeModel(cfg.model_config, comm,
                                       algorithm=cfg.algorithm,
                                       seed=cfg.seed)
-                model.restore(s["model"])
+                model.restore(model_at)
                 rollback = boundary - resume
                 boundary = resume
-                ckpts = {i: c for i, c in ckpts.items() if i <= resume}
                 known_dead |= set(exc.failures)
                 # Record the event before the post-shrink sync so a
                 # cascading crash during recovery still leaves a trace.
@@ -316,14 +383,14 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                 requeued: List[int] = []
                 dropped: List[int] = []
                 for rq, _emitted in active:
-                    attempt = retries.get(rq.rid, 0) + 1
-                    retries[rq.rid] = attempt
-                    token_times.pop(rq.rid, None)
-                    admitted_at.pop(rq.rid, None)
+                    attempt = journal.get(rq.rid).retries + 1
                     if attempt > cfg.retry_budget:
-                        terminal[rq.rid] = "shed"
+                        journal.update(rq.rid, admitted=None, tokens=(),
+                                       retries=attempt, status="shed")
                         dropped.append(rq.rid)
                     else:
+                        journal.update(rq.rid, admitted=None, tokens=(),
+                                       retries=attempt)
                         batcher.requeue(
                             rq, _retry_release(cfg, rq.rid, attempt, t))
                         requeued.append(rq.rid)
@@ -336,8 +403,8 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
             comm.maybe_crash(iteration=step_no)
             # Timeout detection on the simulated clock: queued requests
             # whose completion deadline already passed are reaped here.
-            for rq in batcher.expire(t, deadline_at):
-                terminal[rq.rid] = "timeout"
+            for rq in batcher.expire(t):
+                journal.update(rq.rid, status="timeout")
             batch = batcher.admit(t, cfg.max_batch_size - len(active),
                                   bool(active))
             if batch:
@@ -346,40 +413,47 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
                 # in time (post-shrink capacity raises this bound).
                 kept: List[Request] = []
                 for rq in batch:
-                    dl = deadline_at(rq)
+                    dl = rq.deadline_at(cfg.deadline)
                     if dl is not None and t + model.min_service_seconds(
                             rq.prompt_tokens, rq.output_tokens) > dl:
-                        terminal[rq.rid] = "shed"
+                        journal.update(rq.rid, status="shed")
                     else:
                         kept.append(rq)
                 if not kept:
                     continue
                 for rq in kept:
-                    admitted_at[rq.rid] = t
+                    journal.update(rq.rid, admitted=t)
                 model.step(sum(rq.prompt_tokens for rq in kept))
                 prefill_batches += 1
                 t = _sync_decision_time(comm)
                 for rq in kept:
-                    token_times[rq.rid] = [t]
+                    journal.update(rq.rid, tokens=(t,))
                     if rq.output_tokens > 1:
-                        active.append([rq, 1])
+                        active.append((rq, 1))
                 commit_boundary()
                 continue
             if active:
                 model.step(len(active))
                 decode_steps += 1
                 t = _sync_decision_time(comm)
-                still: List[List] = []
+                still: List[Tuple[Request, int]] = []
                 for rq, emitted in active:
                     emitted += 1
-                    token_times[rq.rid].append(t)
+                    journal.update(rq.rid,
+                                   tokens=journal.get(rq.rid).tokens + (t,))
                     if emitted < rq.output_tokens:
-                        still.append([rq, emitted])
+                        still.append((rq, emitted))
                 active = still
                 commit_boundary()
                 continue
             t_next = batcher.next_decision(t)
             if t_next is None:
+                # Leave only through an agreement every survivor joins: a
+                # rank whose last sync completed (the dead rank's eager
+                # post had reached it) fails here instead of returning,
+                # and takes part in the rollback of those whose sync
+                # failed.
+                _sync_decision_time(comm)
                 break
             comm._advance_clock(t_next)
             t = _sync_decision_time(comm)
@@ -388,12 +462,11 @@ def _rank_serve_faulted(comm: SimComm, cfg: ServeConfig,
 
     records = []
     for rq in workload.requests:
+        st = journal.get(rq.rid)
         records.append(RequestRecord(
             rq.rid, rq.arrival, rq.prompt_tokens, rq.output_tokens,
-            admitted_at.get(rq.rid), tuple(token_times.get(rq.rid, ())),
-            status=terminal.get(rq.rid, "ok"),
-            retries=retries.get(rq.rid, 0),
-            deadline=deadline_at(rq)))
+            st.admitted, st.tokens, status=st.status, retries=st.retries,
+            deadline=rq.deadline_at(cfg.deadline)))
     return {
         "records": records,
         "checksum": model.checksum,

@@ -295,6 +295,28 @@ class TestFusionFloors:
         monkeypatch.setenv(fused_mod.FUSED_MIN_RANKS_ENV, "not-a-number")
         assert fused_mod.fusion_min_ranks() == 4
 
+    def test_floor_read_once_per_engine(self, monkeypatch):
+        reads = []
+
+        class Env(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        env = Env(fused_mod.os.environ)
+        env[fused_mod.FUSED_MIN_RANKS_ENV] = "2"
+        monkeypatch.setattr(fused_mod.os, "environ", env)
+
+        def prog(comm):
+            for _ in range(5):
+                self._prog(comm)
+
+        log = run_spmd(3, prog, runner="coop",
+                       fused=True).network.algorithm_log
+        assert reads.count(fused_mod.FUSED_MIN_RANKS_ENV) == 1
+        # the floor of 2 took effect: P=3 fused every call
+        assert not any(mode == "unfused-small" for _, _, mode in log)
+
     def test_small_world_skip_records_provenance(self, monkeypatch):
         monkeypatch.delenv(fused_mod.FUSED_MIN_RANKS_ENV, raising=False)
         res = run_spmd(3, self._prog, runner="coop", fused=True)

@@ -157,6 +157,88 @@ class TestDynamicBatcher:
             DynamicBatcher(_wl([0.0]), 0, 1.0)
         with pytest.raises(ConfigError):
             DynamicBatcher(_wl([0.0]), 1, -1.0)
+        with pytest.raises(ConfigError):
+            DynamicBatcher(_wl([0.0]), 1, float("nan"))
+
+
+def _naive_expire(queue, now, deadline):
+    """The reference rule: every queued entry whose deadline has passed,
+    in queue order."""
+    return [e[2] for e in queue
+            if (dl := e[2].deadline_at(deadline)) is not None and now >= dl]
+
+
+class TestBatcherExpiry:
+    def _deadlined(self, n=8, seed=0):
+        rng = np.random.default_rng(seed)
+        arrivals = np.cumsum(rng.uniform(0.0, 1.0, n))
+        dls = [None if rng.random() < 0.3 else float(rng.uniform(0.5, 4.0))
+               for _ in range(n)]
+        return Workload(tuple(
+            Request(i, float(a), 4, 2, deadline=dl)
+            for i, (a, dl) in enumerate(zip(arrivals, dls))))
+
+    def test_reaps_in_queue_order(self):
+        # rid 1's deadline passes first, but rid 0 comes first in the queue
+        wl = Workload((Request(0, 0.0, 4, 2, deadline=3.0),
+                       Request(1, 1.0, 4, 2, deadline=1.5),
+                       Request(2, 2.0, 4, 2)))
+        b = DynamicBatcher(wl, 4, max_wait=10.0)
+        assert b.expire(2.0) == []
+        assert [rq.rid for rq in b.expire(2.5)] == [1]
+        b.requeue(wl.requests[1], 0.5)  # back in at the head of the queue
+        assert [rq.rid for rq in b.expire(5.0)] == [0, 1]
+        assert b.pending == 1
+
+    def test_default_deadline_applies_to_requests_without_one(self):
+        wl = Workload((Request(0, 0.0, 4, 2, deadline=9.0),
+                       Request(1, 1.0, 4, 2)))
+        b = DynamicBatcher(wl, 4, max_wait=10.0, deadline=2.0)
+        assert [rq.rid for rq in b.expire(3.0)] == [1]
+        assert DynamicBatcher(wl, 4, max_wait=10.0).expire(5.0) == []
+
+    def test_no_deadline_work_when_nothing_can_expire(self, monkeypatch):
+        b = DynamicBatcher(self._deadlined(64), 4, max_wait=10.0)
+        assert b.expire(0.0) == []          # builds the index once
+        calls = []
+        orig = Request.deadline_at
+        monkeypatch.setattr(Request, "deadline_at",
+                            lambda rq, d=None: calls.append(rq) or orig(rq, d))
+        for _ in range(100):
+            assert b.expire(0.0) == []
+        assert calls == []
+
+    def test_admitted_requests_never_expire(self):
+        wl = Workload((Request(0, 0.0, 4, 2, deadline=1.0),
+                       Request(1, 0.0, 4, 2, deadline=1.0)))
+        b = DynamicBatcher(wl, 1, max_wait=0.0)
+        b.expire(0.0)
+        assert [rq.rid for rq in b.admit(0.0, 1, False)] == [0]
+        assert [rq.rid for rq in b.expire(1.0)] == [1]
+        assert b.expire(1.0) == [] and b.pending == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_naive_scan_under_mixed_operations(self, seed):
+        wl = self._deadlined(24, seed)
+        default = 2.5 if seed % 2 else None
+        b = DynamicBatcher(wl, 3, max_wait=0.5, deadline=default)
+        rng = np.random.default_rng(100 + seed)
+        snaps, out = [], []
+        now = 0.0
+        for _ in range(60):
+            now += float(rng.uniform(0.0, 0.6))
+            op = rng.integers(5)
+            if op == 0:
+                out += b.admit(now, int(rng.integers(1, 4)), bool(out))
+            elif op == 1 and out:
+                b.requeue(out.pop(0), now + float(rng.uniform(0.0, 1.0)))
+            elif op == 2:
+                snaps.append(b.snapshot())
+            elif op == 3 and snaps:
+                b.restore(snaps[int(rng.integers(len(snaps)))])
+            want = _naive_expire(b.snapshot(), now, default)
+            assert b.expire(now) == want
+            assert all(e[2] not in want for e in b.snapshot())
 
 
 class TestPercentile:
@@ -271,6 +353,24 @@ class TestServing:
         # ... under heavy load it falls behind (the server saturates).
         assert hi["goodput_req_per_s"] < 0.8 * hi["offered_req_per_s"]
         assert hi["latency_p99"] > lo["latency_p99"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("deadline", float("nan")), ("deadline", float("inf")),
+        ("deadline", 0.0), ("deadline", -1.0),
+        ("max_wait", float("nan")), ("max_wait", float("inf")),
+        ("max_wait", -1e-3),
+        ("retry_budget", -1),
+        ("retry_backoff", float("nan")), ("retry_backoff", -1.0),
+        ("retry_backoff_cap", float("nan")), ("retry_backoff_cap", -1.0),
+    ])
+    def test_config_rejects_bad_numerics(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            replace(SMOKE, **{field: value})
+
+    def test_config_accepts_boundary_values(self):
+        cfg = replace(SMOKE, deadline=1e-9, max_wait=0.0, retry_budget=0,
+                      retry_backoff=0.0, retry_backoff_cap=0.0)
+        assert cfg.deadline == 1e-9 and cfg.retry_budget == 0
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -13,9 +13,15 @@ The ISSUE-10 acceptance criteria, as tests:
   admission shedding are first-class terminal states with exact
   accounting in the report;
 * transparency: ``faults=None`` never consults the robustness knobs and
-  the report carries no degradation section.
+  the report carries no degradation section;
+* rollback: a crash a survivor catches one boundary later than another
+  rolls every survivor back through the undo journal, with reports equal
+  to those of the full per-boundary copies the journal replaced, and a
+  crash in the final step still ends in one agreed shrink;
+* a sweep of time-based crash placements always returns a report.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -23,6 +29,7 @@ import pytest
 from repro.comm.faults import (ComputeStraggler, FaultPlan, LinkSlowdown,
                                RankCrash)
 from repro.serve import ServeConfig, simulate_serving
+from repro.serve import loop
 from repro.serve.loop import _retry_release
 
 SMOKE = ServeConfig(p=4, rate=2000.0, n_requests=12, prompt_tokens=32,
@@ -228,3 +235,161 @@ class TestTransparency:
         clean = simulate_serving(SMOKE)
         assert [(r.rid, r.admitted, r.token_times) for r in rep.requests] \
             == [(r.rid, r.admitted, r.token_times) for r in clean.requests]
+
+
+# A P=3 configuration whose decision times are close enough together that
+# crashes just after a stamp catch survivors one boundary apart.
+P3 = ServeConfig(p=3, rate=4000.0, n_requests=16, prompt_tokens=48,
+                 output_tokens=4, max_batch_size=4, seed=1)
+
+
+def digest(rep):
+    """What a rollback decides: records, step counts and events.  Not the
+    makespan, which the exit agreement's own allgather extends, nor the
+    model checksum, whose last bits may depend on the numpy build."""
+    blob = repr((rep.requests, rep.steps, rep.events))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+#: (crashed rank, crash time, rollback, digest) of P3 runs, recorded with
+#: the full per-boundary copies of every request's state that the undo
+#: journal replaced
+ROLLBACK_DIGESTS = [
+    (0, 0.0009613800149931352, 0, "f2ecf949ca1a1b16"),
+    (1, 0.0009613800149931352, 1, "46d9936da742277e"),
+    (2, 0.0009613800149931352, 0, "a4af4854184091bc"),
+    (0, 0.0009712576757931353, 0, "22e9024c1749ea5a"),
+    (1, 0.0009712576757931353, 0, "63ea900d81038348"),
+    (2, 0.0009712576757931353, 0, "e7c73093f3dd849b"),
+    (0, 0.002535464634376499, 0, "a45a08455990972c"),
+    (1, 0.002535464634376499, 1, "506b10edfa259895"),
+    (2, 0.002535464634376499, 0, "8c9e696f7c115d28"),
+    (0, 0.0025478195559765003, 0, "95f95976f70f603d"),
+    (1, 0.0025478195559765003, 0, "995266c46b5afd61"),
+    (2, 0.0025478195559765003, 0, "a4bae94d6ee3f444"),
+    (0, 0.0030398205054326176, 0, "c5bc818c9710f882"),
+    (1, 0.0030398205054326176, 1, "f8f6499867ad867a"),
+    (2, 0.0030398205054326176, 0, "7c293782249faca3"),
+    (0, 0.0030521754270326188, 0, "1418fb7f114ac066"),
+    (1, 0.0030521754270326188, 0, "9a8e02aafa21bf77"),
+    (2, 0.0030521754270326188, 0, "8880ad5359754f52"),
+    (0, 0.0037271517906194945, 0, "dd0ed203c1f63c00"),
+    (1, 0.0037271517906194945, 1, "d6d49bcf8ed04575"),
+    (2, 0.0037271517906194945, 0, "0d03e45439430c50"),
+    (0, 0.003777068849819498, 0, "b7c166463bbbcac0"),
+    (1, 0.003777068849819498, 0, "039964252fd0a5f2"),
+    (2, 0.003777068849819498, 0, "8791a55c3350970b"),
+    (0, 0.003901915438619507, 0, "998e94df7fbe6dad"),
+    (1, 0.003901915438619507, 1, "1ee65d67f0aa57eb"),
+    (2, 0.003901915438619507, 0, "03b941061fb85b19"),
+    (0, 0.004140753048993908, 0, "998e94df7fbe6dad"),
+    (1, 0.004140753048993908, 0, "6a46f41605fdf5da"),
+    (2, 0.004140753048993908, 0, "699013611d7e406a"),
+]
+
+
+class TestRollback:
+    #: one survivor's decision-clock sync completes on rank 1's eager post
+    #: just before rank 1 dies and the other's does not, so the two catch
+    #: the failure one boundary apart
+    ONE_BEHIND = crash_at(0.0009419233530411351)
+    #: rank 1 dies inside the last sync: rank 0 completes it and finds
+    #: nothing left to serve, while rank 2 must roll back
+    FINAL_STEP = crash_at(0.004438957964520295)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_one_boundary_rollback(self, runner, fused):
+        base = simulate_serving(P3, faults=self.ONE_BEHIND)
+        (ev,) = base.events
+        assert (ev["new_size"], ev["rollback"]) == (2, 1)
+        assert base.summary()["completed"] == P3.n_requests
+        got = simulate_serving(P3, faults=self.ONE_BEHIND, runner=runner,
+                               fused=fused)
+        assert signature(got) == signature(base), (runner, fused)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("runner", RUNNERS)
+    def test_crash_in_final_step_joins_rollback(self, runner, fused):
+        # records agree, or simulate_serving raises AssertionError
+        rep = simulate_serving(P3, faults=self.FINAL_STEP, runner=runner,
+                               fused=fused)
+        (ev,) = rep.events
+        assert (ev["old_size"], ev["new_size"]) == (3, 2)
+        assert ev["rollback"] == 1 and ev["requeued"]
+        assert rep.summary()["completed"] == P3.n_requests
+
+    def test_journal_restores_what_full_copies_restored(self):
+        got = []
+        for rank, t, _, _ in ROLLBACK_DIGESTS:
+            rep = simulate_serving(P3, faults=crash_at(t, rank=rank))
+            got.append((rank, t, rep.events[0]["rollback"], digest(rep)))
+        assert got == ROLLBACK_DIGESTS
+
+    def test_checkpoints_hold_only_touched_requests(self, monkeypatch):
+        journals = []
+
+        class Recorded(loop._Journal):
+            def __init__(self):
+                super().__init__()
+                journals.append(self)
+
+        monkeypatch.setattr(loop, "_Journal", Recorded)
+        cfg = ServeConfig(p=3, rate=20000.0, n_requests=1024,
+                          prompt_tokens=4, output_tokens=2,
+                          max_batch_size=4, hidden=8, layers=1, seed=3)
+        # a crash a survivor catches one boundary late (rollback 1)
+        rep = simulate_serving(
+            cfg, faults=crash_at(0.015620176367854878, rank=1))
+        assert rep.events[0]["rollback"] == 1
+        assert rep.summary()["completed"] == cfg.n_requests
+        assert len(journals) == cfg.p
+        for j in journals:
+            # request entries kept for rollback: the undo records and the
+            # active sets of the retained boundaries, plus the step in
+            # progress (queue snapshots are C-level copies of the
+            # pending stream and are not request state)
+            held = len(j._undo) + sum(len(undo) + len(state[1])
+                                      for undo, state in j._window.values())
+            assert len(j._window) <= loop._WINDOW
+            assert held <= 12 * cfg.max_batch_size, held
+
+
+def _decision_times(cfg):
+    clean = simulate_serving(cfg, faults=FaultPlan())
+    return sorted({ts for r in clean.requests for ts in r.token_times})
+
+
+def _assert_survives(cfg, rank, t):
+    rep = simulate_serving(cfg, faults=crash_at(t, rank=rank))
+    assert len(rep.events) <= 1, (rank, t)
+    assert all(ev["new_size"] == cfg.p - 1 for ev in rep.events), (rank, t)
+    assert rep.summary()["completed"] == cfg.n_requests, (rank, t)
+
+
+class TestCrashPlacementSweep:
+    """Time-based crashes at step midpoints and next to the decision
+    times, on every rank.  Iteration-pinned crashes fire only at the top
+    of a pass, so they never land inside a sync the way these do."""
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_every_placement_returns_a_report(self, p):
+        cfg = replace(P3, p=p)
+        ts = _decision_times(cfg)
+        times = [0.5 * (a + b) for a, b in zip(ts[::3], ts[1::3])]
+        times += [ts[0] + 1e-7, ts[len(ts) // 2] + 1e-7,
+                  ts[-1] - 2e-6, ts[-1] - 1e-7, ts[-1] + 1e-7]
+        for rank in range(p):
+            for t in times:
+                _assert_survives(cfg, rank, t)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_wide_grid(self, p):
+        cfg = replace(P3, p=p)
+        ts = _decision_times(cfg)
+        times = [0.5 * (a + b) for a, b in zip(ts, ts[1:])]
+        times += [s + d for s in ts for d in (-1e-7, 1e-7)]
+        for rank in range(p):
+            for t in times:
+                _assert_survives(cfg, rank, t)
