@@ -48,6 +48,7 @@ from __future__ import annotations
 # simulated state.
 import argparse
 import json
+import math
 import os
 import platform
 import subprocess
@@ -623,9 +624,22 @@ def main(argv=None) -> int:
         [[k, f"{v:.1f}"] for k, v in pb.items()],
         title="per-phase breakdown (one perf_mlp rank / one collective)"))
 
-    args.out.write_text(json.dumps(results, indent=2) + "\n")
+    args.out.write_text(json.dumps(_undefined_as_null(results), indent=2,
+                                   allow_nan=False) + "\n")
     print(f"\nwrote {args.out}")
     return 0
+
+
+def _undefined_as_null(obj):
+    """Undefined metrics (NaN, e.g. inter-token latency of one-token
+    requests) become ``null``: bare ``NaN`` is not JSON (RFC 8259)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _undefined_as_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_undefined_as_null(v) for v in obj]
+    return obj
 
 
 def _git_head() -> str:

@@ -6,7 +6,10 @@ Three checks on the runtime sanitizer mode (``REPRO_SANITIZE=1`` /
 
 * **transparency** — P=4 training (Ok-Topk) and tensor-parallel serving
   runs under the sanitizer are bit-identical to unsanitized runs (the
-  sanitizer observes, it must not perturb);
+  sanitizer observes, it must not perturb).  The training runs long
+  enough for Ok-Topk's world-level steady state, so the race detector
+  and the loan sanitizer cover world dispatches, and the smoke fails if
+  those dispatches silently stop happening;
 * **schemes are race-free** — every shipped allreduce scheme passes the
   schedule-perturbation race detector: the section is replayed under a
   seeded ready-queue rotation and results/clocks/counters must not move;
@@ -29,6 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.allreduce import PAPER_ORDER, make_allreduce  # noqa: E402
+from repro.allreduce import oktopk  # noqa: E402
 from repro.bench import perf_proxy, train_scheme  # noqa: E402
 from repro.comm import SANITIZE_ENV, run_spmd  # noqa: E402
 from repro.errors import LoanViolationError, ScheduleRaceError  # noqa: E402
@@ -36,14 +40,30 @@ from repro.serve import ServeConfig, simulate_serving  # noqa: E402
 
 P = 4
 N = 1024
+#: iteration 1 evaluates thresholds and boundaries; 2..4 are steady state
+TRAIN_ITERATIONS = 4
 SERVE_CFG = ServeConfig(p=P, rate=2000.0, n_requests=16, prompt_tokens=64,
                         output_tokens=6, max_batch_size=8, seed=0)
 
 
 def _train_and_serve() -> tuple:
-    rec = train_scheme(perf_proxy(), "oktopk", P, 2, density=0.02, seed=0)
+    rec = train_scheme(perf_proxy(), "oktopk", P, TRAIN_ITERATIONS,
+                       density=0.02, seed=0)
     rep = simulate_serving(SERVE_CFG)
     return rec.records, rep.requests, rep.summary()
+
+
+def _count_world_dispatches() -> list:
+    """Record the iteration of every world-level Ok-Topk dispatch."""
+    calls: list = []
+    orig = oktopk._exec_world
+
+    def counting(net, sig, payloads):
+        calls.append(sig[1])
+        return orig(net, sig, payloads)
+
+    oktopk._exec_world = counting
+    return calls
 
 
 def _scheme_prog(comm, scheme: str):
@@ -87,6 +107,7 @@ def _loan_violator(comm):
 def main() -> int:
     # 1. sanitizer transparency on train + serve
     base = _train_and_serve()
+    world = _count_world_dispatches()
     os.environ[SANITIZE_ENV] = "1"
     try:
         sane = _train_and_serve()
@@ -95,8 +116,15 @@ def main() -> int:
     if sane != base:
         print("FAIL: REPRO_SANITIZE=1 changed the train/serve outcome")
         return 1
+    # the sanitized run and its perturbed-schedule replay
+    steady = list(range(2, TRAIN_ITERATIONS + 1))
+    if world != steady * 2:
+        print(f"FAIL: world-level Ok-Topk dispatches {world}, expected "
+              f"iterations {steady} in the run and in its replay")
+        return 1
     print(f"transparency: P={P} train + serve bit-identical under "
-          f"REPRO_SANITIZE=1")
+          f"REPRO_SANITIZE=1 ({len(world)} world-level Ok-Topk "
+          f"dispatches checked)")
 
     # 2. every shipped scheme passes the race detector
     for scheme in PAPER_ORDER:

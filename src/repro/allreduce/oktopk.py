@@ -66,17 +66,58 @@ instead of thrashing it:
 
 A one-bucket plan never reaches this path (sessions delegate to the
 one-shot ``_reduce``, bit-identical by construction).
+
+World-level steady state
+------------------------
+
+Between re-evaluations every piece of control state except each rank's
+own accumulator is rank-uniform: the global threshold and the consensus
+boundaries are identical on every rank, the reused local thresholds
+need no collective, and which iterations are due is a function of ``t``
+alone.  So when lockstep rank batching is engaged
+(``comm.rank_batch``), the fused path is available at this world size
+and the iteration is in steady state (thresholds and boundaries cached,
+neither the τ nor the τ′ schedule due), the one-shot ``_reduce`` enters
+ONE rendezvous, ``("oktopk_world", t, k, ...)``, whose executor
+(:func:`_exec_world`) runs Algorithm 1 for every rank:
+
+1. threshold selection over the stacked ``(P, n)`` accumulator
+   (:func:`_select_rows`, shared with the rank-batched selection of due
+   iterations, per-rank guard re-evaluation included);
+2. the split of every selection by the shared boundaries — one
+   ``searchsorted`` over the flat selection;
+3. split-and-reduce: the booking is :func:`_replay_split_reduce`, the
+   same vectorized implementation the per-rank fused executor uses,
+   and the owners' folds one :func:`_owner_sums` pass;
+4. phase 2: region selection and package sizes per rank, the
+   rank-uniform balance decision, and the allgather-object, optional
+   alltoallv and allgatherv schedules replayed from the compiled-schedule
+   cache.  Rebalancing preserves the global order, so ``u_t`` is the
+   region-order concatenation of the packages either way; it is built
+   once and shared read-only by every rank;
+5. the per-rank intersection of line 14.
+
+Every rank's compute charges and ``phase`` attribution run in its
+per-rank order, so clocks, phase times, traffic counters, provenance and
+the ``OkTopkState`` counters are bit-identical to the per-rank path.
+Iteration 1 and due iterations, the threaded runner, fault plans,
+tracing, group communicators, worlds below the fusion floor and
+subclasses overriding a phase keep the per-rank path, which remains the
+reference oracle (``tests/test_oktopk_world.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
 
 from ..comm import SimComm, collectives as coll
 from ..comm import fused as _fused
+from ..comm.fused import compile_allgatherv, compile_alltoallv, replay
 from ..errors import ConfigError
 from ..sparse import (
     COOVector,
@@ -99,185 +140,217 @@ _TAG_SR = (1 << 21) + 21      # split-and-reduce region pieces
 _TAG_BAL = (1 << 21) + 22     # data-balancing moves
 
 
+class _SRPlan:
+    """The split-and-reduce exchange of every rank, compiled once per
+    ``(P, rotation, bucket_size)``.
+
+    ``buckets`` holds, per bucket, the posting and the receiving ranks
+    grouped by message count — ``(ranks, peers)`` with ``peers[i]`` the
+    destinations (sources) of ``ranks[i]`` in program (request) order —
+    so each group books as one ``(g, m)`` matrix.  ``gather_owner`` /
+    ``gather_src`` list every ``(owner, source)`` piece in the order the
+    owner folds them: its own piece first, then the request order.
+    """
+
+    __slots__ = ("buckets", "gather_owner", "gather_src")
+
+    def __init__(self, p: int, rotation: bool, bucket_size: int):
+        rank_buckets = [list(buckets(make_steps(r, p, rotation),
+                                     bucket_size)) for r in range(p)]
+        self.buckets = []
+        for bb in range(len(rank_buckets[0])):
+            sends = [[d for step in rank_buckets[r][bb] for d in step.send_to]
+                     for r in range(p)]
+            recvs = [[s for step in rank_buckets[r][bb]
+                      for s in step.recv_from] for r in range(p)]
+            self.buckets.append((_by_count(sends), _by_count(recvs)))
+        order = [(r, s) for r in range(p)
+                 for s in (r, *(s for bk in rank_buckets[r] for step in bk
+                                for s in step.recv_from))]
+        self.gather_owner = np.array([o for o, _ in order], dtype=np.int64)
+        self.gather_src = np.array([s for _, s in order], dtype=np.int64)
+
+
+def _by_count(peer_lists: List[List[int]]) -> tuple:
+    """Group ranks with a non-empty peer list by its length."""
+    groups: dict = {}
+    for r, peers in enumerate(peer_lists):
+        if peers:
+            groups.setdefault(len(peers), []).append(r)
+    return tuple((np.array(rs, dtype=np.int64),
+                  np.array([peer_lists[r] for r in rs], dtype=np.int64))
+                 for _, rs in sorted(groups.items()))
+
+
+@lru_cache(maxsize=64)
+def _sr_plan(p: int, rotation: bool, bucket_size: int) -> _SRPlan:
+    return _SRPlan(p, rotation, bucket_size)
+
+
+def _replay_split_reduce(net, plan: _SRPlan, counts: np.ndarray) -> None:
+    """Book every rank's split-and-reduce exchange, bit-identically to the
+    per-message path (:meth:`OkTopkAllreduce._split_and_reduce`).
+
+    ``counts[s, d]`` is the nnz of rank ``s``'s piece for region ``d``
+    (``2 * nnz`` wire words).  Bucket by bucket, for all ranks at once:
+    ``isend_batch``'s egress booking (the ``o_inject`` clock chain from
+    :meth:`NetworkModel.isend_avail`, then
+    :meth:`NetworkModel.serialize_rows`), the overlap
+    ``compute_words(2 * prev_words)`` charge, ``waitall``'s
+    arrival-sorted ingress booking (ties by source, like the reference
+    ``(t_first, src, seq)`` sort) and the send-request waits.  Row-wise
+    ``cumsum`` is the same left fold as the scalar clock and link
+    updates, and ``max`` is exact, so clocks and links land where
+    ``P (P-1)`` individual posts and deliveries would leave them.
+    """
+    model = net.model
+    alpha, o_send = model.alpha, model.o_send
+    o_inject, gamma = model.o_inject, model.gamma
+    p = counts.shape[0]
+    words = 2 * counts
+    wf = words.astype(np.float64)
+    clocks = np.array(net.clocks, dtype=np.float64)
+    eg = np.array(net.egress_free, dtype=np.float64)
+    ing = np.array(net.ingress_free, dtype=np.float64)
+    t_first = np.empty((p, p))
+    prev = np.zeros(p, dtype=np.int64)
+    for sends, recvs in plan.buckets:
+        last_done = np.full(p, -np.inf)
+        # -- posts: one batched egress booking per rank (isend_batch) ----
+        for ranks, dst in sends:
+            m = dst.shape[1]
+            rows = ranks[:, None]
+            avail = model.isend_avail(clocks[ranks], m)
+            if o_inject:
+                # one more charge after the last post: the scalar fold
+                clocks[ranks] = avail[:, -1] + o_inject
+            starts, ends = model.serialize_rows(eg[ranks], avail,
+                                                wf[rows, dst])
+            eg[ranks] = ends[:, -1]
+            t_first[rows, dst] = starts + alpha
+            # link ends are non-decreasing, so the last send completes last
+            last_done[ranks] = ends[:, -1] + o_send
+        # -- overlap: reduce the previous bucket while this one flies ----
+        clocks += gamma * (2 * prev)
+        # -- waitall: arrival-sorted batched delivery + send waits -------
+        prev = np.zeros(p, dtype=np.int64)
+        for ranks, src in recvs:
+            cols = ranks[:, None]
+            tf = t_first[src, cols]
+            order = np.lexsort((src, tf), axis=-1)
+            _, ends = model.serialize_rows(
+                ing[ranks], np.take_along_axis(tf, order, axis=1),
+                np.take_along_axis(wf[src, cols], order, axis=1))
+            ing[ranks] = ends[:, -1]
+            clocks[ranks] = np.maximum(clocks[ranks], ends[:, -1])
+            prev[ranks] = counts[src, cols].sum(axis=1)
+        np.maximum(clocks, last_done, out=clocks)
+    clocks += gamma * (2 * prev)
+    net.clocks[:] = clocks.tolist()
+    net.egress_free[:] = eg.tolist()
+    net.ingress_free[:] = ing.tolist()
+    # every off-diagonal piece is one message, empty ones included
+    own = np.diagonal(words)
+    sent = (words.sum(axis=1) - own).tolist()
+    recv = (words.sum(axis=0) - own).tolist()
+    for r in range(p):
+        net.words_sent[r] += sent[r]
+        net.words_recv[r] += recv[r]
+        net.msgs_sent[r] += p - 1
+        net.msgs_recv[r] += p - 1
+
+
+def _owner_sums(keys: np.ndarray, vals: np.ndarray, p: int, n: int):
+    """The owners' split-and-reduce folds in one pass.
+
+    ``keys`` are region indices biased by ``owner * n`` and concatenated
+    owner by owner, each owner's pieces in fold order.  Region index
+    ranges are disjoint per owner, so ONE stable sort + ``reduceat``
+    reproduces every per-owner :func:`~repro.sparse.combine_sum` exactly:
+    within an owner the stable sort keeps pieces in fold order, reduceat
+    accumulates the identical float64 partial sums (a one-element run is
+    returned unchanged), and the single float32 cast matches.  Returns
+    ``(group_keys, sums, cuts)``; owner ``r`` holds ``[cuts[r],
+    cuts[r+1])``.
+    """
+    if keys.size == 0:
+        return (keys, np.empty(0, VALUE_DTYPE),
+                np.zeros(p + 1, dtype=np.intp))
+    size = keys.size
+    if p * n * size < 1 << 62:
+        # The stable argsort by key as one plain sort (about 3x faster):
+        # ``key * size + position`` is unique, so ascending order is by
+        # key with ties in input order.
+        key_sorted, order = np.divmod(
+            np.sort(keys * size + np.arange(size, dtype=np.int64)), size)
+    else:
+        order = np.argsort(keys, kind="stable")
+        key_sorted = keys[order]
+    val_sorted = vals[order]
+    boundary = np.empty(key_sorted.size, dtype=bool)
+    boundary[0] = True
+    np.not_equal(key_sorted[1:], key_sorted[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    sums = np.add.reduceat(val_sorted, starts,
+                           dtype=np.float64).astype(VALUE_DTYPE)
+    group_keys = key_sorted[starts]
+    cuts = np.searchsorted(group_keys, np.arange(p + 1, dtype=np.int64) * n)
+    return group_keys, sums, cuts
+
+
 def _exec_split_reduce(net, sig, payloads):
     """Fused executor for split-and-reduce (the macro-collective form of
     :meth:`OkTopkAllreduce._split_and_reduce`'s exchange).
 
     ``payloads[r]`` is rank ``r``'s region pieces (one COO vector per
-    destination).  The replay walks the rotation/naive schedule bucket by
-    bucket, reproducing the reference path's exact booking sequence per
-    rank — ``isend_batch``'s egress serialization (the shared
-    ``NetworkModel.isend_avail`` chain + ``serialize_batch``, the same
-    helpers ``Network.post_batch`` uses), the overlap
-    ``compute_words(2 * prev_words)`` charge, ``waitall``'s
-    arrival-sorted batched ingress delivery (one ``serialize_batch``
-    fold, exact for single messages too), and the send-request waits —
-    without creating a single message object or parking a single thread.
-    The reduction itself is one ``combine_sum`` per rank over the pieces
-    in static request order, exactly what the per-message path folds.
+    destination).  The booking is :func:`_replay_split_reduce` — the
+    implementation the world-level executor shares — and the reduction
+    one :func:`_owner_sums` pass over the pieces in each owner's fold
+    order (its own piece, then the static request order), exactly what
+    the per-message path folds — without creating a single message
+    object or parking a single thread.
     """
-    from .schedule import buckets as _buckets, make_steps
     _, rotation, bucket_size = sig
     p = len(payloads)
-    model = net.model
-    alpha, o_send = model.alpha, model.o_send
-    o_inject, gamma = model.o_inject, model.gamma
-    clocks = net.clocks
-    eg = net.egress_free
-    ing = net.ingress_free
-    # inlined comm_nwords (2k wire words): the property chain costs real
-    # time at 256 calls per dispatch
-    nw = [[2 * piece.indices.size for piece in pieces]
-          for pieces in payloads]
-    # The rotation/bucket schedule depends only on (p, rotation,
-    # bucket_size) — cache it on the network across iterations.
-    key = (p, rotation, bucket_size)
-    cached = getattr(net, "_sr_sched_cache", None)
-    if cached is not None and cached[0] == key:
-        rank_buckets = cached[1]
-    else:
-        rank_buckets = [list(_buckets(make_steps(r, p, rotation),
-                                      bucket_size)) for r in range(p)]
-        net._sr_sched_cache = (key, rank_buckets)
-    nbuckets = len(rank_buckets[0])
-    prev_words = [0] * p
-    pending: List[List] = [[] for _ in range(p)]
-    for bb in range(nbuckets):
-        # -- posts: one batched egress booking per rank (isend_batch) ----
-        inbox: List[List[tuple]] = [[] for _ in range(p)]
-        send_dones: List[List[float]] = [[] for _ in range(p)]
-        for r in range(p):
-            sends = [dst for step in rank_buckets[r][bb]
-                     for dst in step.send_to]
-            if not sends:
-                continue
-            nwords = np.array([nw[r][dst] for dst in sends],
-                              dtype=np.float64)
-            n = nwords.size
-            avail = model.isend_avail(clocks[r], n)
-            starts, ends = model.serialize_batch(eg[r], avail, nwords)
-            eg[r] = float(ends[-1])
-            total = 0
-            starts_l = starts.tolist()
-            ends_l = ends.tolist()
-            for i, dst in enumerate(sends):
-                inbox[dst].append((starts_l[i] + alpha, r, nw[r][dst]))
-                send_dones[r].append(ends_l[i] + o_send)
-                total += nw[r][dst]
-            net.words_sent[r] += total
-            net.msgs_sent[r] += n
-            if o_inject:
-                for _ in range(n):
-                    clocks[r] += o_inject
-        # -- overlap: reduce the previous bucket while this one flies ----
-        for r in range(p):
-            if prev_words[r]:
-                clocks[r] += gamma * (2 * prev_words[r])
-        # -- waitall: arrival-sorted batched delivery + send waits -------
-        for r in range(p):
-            msgs = sorted(inbox[r])  # (t_first, src, nwords)
-            if msgs:
-                # serialize_batch is bit-identical to the one-message
-                # scalar fold (its fast paths cover n=1 exactly), so one
-                # call handles both the single and the batched delivery
-                avail = np.array([m[0] for m in msgs], dtype=np.float64)
-                nwords = np.array([m[2] for m in msgs], dtype=np.float64)
-                _, ends = model.serialize_batch(ing[r], avail, nwords)
-                td = float(ends[-1])
-                ing[r] = td
-                total = sum(m[2] for m in msgs)
-                if td > clocks[r]:
-                    clocks[r] = td
-                net.words_recv[r] += total
-                net.msgs_recv[r] += len(msgs)
-            for dn in send_dones[r]:
-                if dn > clocks[r]:
-                    clocks[r] = dn
-            # request order, not arrival order: the payload list the
-            # reference waitall returns follows the irecv creation order
-            arrived = [payloads[src][r] for step in rank_buckets[r][bb]
-                       for src in step.recv_from]
-            pending[r].extend(arrived)
-            prev_words[r] = sum(v.indices.size for v in arrived)
-    # -- final reductions: one global sort instead of p combine_sum ------
-    # Region index ranges are disjoint per owner, so biasing each owner's
-    # indices by ``r * n`` and running ONE stable argsort + reduceat over
-    # the world reproduces every per-rank ``combine_sum`` fold exactly:
-    # within an owner the stable sort keeps pieces in request order (the
-    # order combine_sum concatenates), reduceat accumulates the identical
-    # float64 partial sums, and the single float32 cast matches.
-    out: List[Optional[COOVector]] = [None] * p
-    cat_keys: List[np.ndarray] = []
-    cat_vals: List[np.ndarray] = []
-    multi: List[int] = []
-    for r in range(p):
-        if prev_words[r]:
-            clocks[r] += gamma * (2 * prev_words[r])
-        own = payloads[r][r]
-        if not pending[r]:
-            out[r] = own
-            continue
-        live = [v for v in (own, *pending[r]) if v.nnz]
-        if not live:
-            out[r] = COOVector.empty(own.n)
-        elif len(live) == 1:
-            out[r] = live[0]
-        else:
-            keys = np.concatenate([v.indices for v in live]).astype(np.int64)
-            keys += r * own.n
-            cat_keys.append(keys)
-            cat_vals.append(np.concatenate([v.values for v in live]))
-            multi.append(r)
-    if multi:
-        n = payloads[0][0].n
-        all_key = np.concatenate(cat_keys)
-        all_val = np.concatenate(cat_vals)
-        order = np.argsort(all_key, kind="stable")
-        key_sorted = all_key[order]
-        val_sorted = all_val[order]
-        boundary = np.empty(key_sorted.size, dtype=bool)
-        boundary[0] = True
-        np.not_equal(key_sorted[1:], key_sorted[:-1], out=boundary[1:])
-        starts = np.flatnonzero(boundary)
-        sums = np.add.reduceat(val_sorted, starts,
-                               dtype=np.float64).astype(VALUE_DTYPE)
-        group_keys = key_sorted[starts]
-        cuts = np.searchsorted(group_keys,
-                               np.asarray(multi, dtype=np.int64) * n)
-        ends = np.append(cuts[1:], group_keys.size)
-        for r, lo, hi in zip(multi, cuts, ends):
-            idx = (group_keys[lo:hi] - r * n).astype(INDEX_DTYPE)
-            out[r] = COOVector(n, idx, sums[lo:hi])
-    return out
+    n = payloads[0][0].n
+    plan = _sr_plan(p, rotation, bucket_size)
+    counts = np.array([[piece.indices.size for piece in pieces]
+                       for pieces in payloads], dtype=np.int64)
+    _replay_split_reduce(net, plan, counts)
+    owners, srcs = plan.gather_owner, plan.gather_src
+    pieces = [payloads[s][o] for o, s in zip(owners.tolist(), srcs.tolist())]
+    keys = np.concatenate([pc.indices for pc in pieces]).astype(np.int64)
+    keys += np.repeat(owners * n, counts[srcs, owners])
+    vals = np.concatenate([pc.values for pc in pieces])
+    group_keys, sums, cuts = _owner_sums(keys, vals, p, n)
+    cuts = cuts.tolist()
+    return [COOVector(n, (group_keys[cuts[r]:cuts[r + 1]]
+                          - r * n).astype(INDEX_DTYPE),
+                      sums[cuts[r]:cuts[r + 1]]) for r in range(p)]
 
 
-def _exec_select_local(net, sig, payloads):
-    """Rank-batched executor for :meth:`OkTopkAllreduce._select_local`.
+def _select_rows(entries, xs: np.ndarray, k: int,
+                 due: List[bool]) -> List[COOVector]:
+    """Threshold selection for every rank over the stacked ``(P, n)``
+    accumulator ``xs`` (``entries[r]`` is ``(comm, allreduce, state)``).
 
-    ``payloads[r]`` is ``(comm, allreduce, acc)`` for rank ``r``.  The
-    periodic threshold re-evaluation becomes one row-wise
-    ``np.partition`` and the per-iteration selection one stacked
-    threshold scan; compute charges (`compute_sort`/`compute_scan`) run
-    through each rank's own communicator inside its open phase context,
-    so clocks and phase attribution match the serial path exactly.
-    Data-dependent divergence — the degenerate all-zero path and the
-    selection-guard re-evaluation — is handled per rank with the scalar
-    primitives (it is pure local compute, no lockstep needed).
+    Ranks flagged ``due`` re-evaluate their local threshold first (one
+    row-wise ``np.partition`` when all are due); then one stacked
+    threshold scan selects for every rank.  Compute charges
+    (``compute_sort``/``compute_scan``) run through each rank's own
+    communicator, so clocks and phase attribution match the serial
+    path exactly.  Data-dependent divergence — the degenerate all-zero
+    path and the selection-guard re-evaluation — is handled per rank
+    with the scalar primitives (it is pure local compute).
     """
-    from ..train.rankbatch import stack_rows
-    _, t, k = sig
-    xs = stack_rows([p[2] for p in payloads])
     nranks, n = xs.shape
-    entries = [(p[0], p[1], p[1]._state) for p in payloads]
-    due = [st.local_th is None or ar._due(t, ar.tau_prime)
-           for (_, ar, st) in entries]
     if all(due):
         ths = batched_kth_largest_abs(xs, k)
         for r, (comm, _, st) in enumerate(entries):
             st.local_th = float(ths[r])
             st.local_evaluations += 1
             comm.compute_sort(n)
-    else:
+    elif any(due):
         for r, (comm, _, st) in enumerate(entries):
             if due[r]:
                 st.local_th = kth_largest_abs(xs[r], k)
@@ -310,6 +383,147 @@ def _exec_select_local(net, sig, payloads):
                      if st.local_th > 0 else exact_topk(xs[r], k))
         out.append(local)
     return out
+
+
+def _exec_select_local(net, sig, payloads):
+    """Rank-batched executor for :meth:`OkTopkAllreduce._select_local`.
+
+    ``payloads[r]`` is ``(comm, allreduce, acc)`` for rank ``r``; the
+    selection itself is :func:`_select_rows`.
+    """
+    from ..train.rankbatch import stack_rows
+    _, t, k = sig
+    xs = stack_rows([p[2] for p in payloads])
+    entries = [(p[0], p[1], p[1]._state) for p in payloads]
+    due = [st.local_th is None or ar._due(t, ar.tau_prime)
+           for (_, ar, st) in entries]
+    return _select_rows(entries, xs, k, due)
+
+
+def _exec_world(net, sig, payloads):
+    """World-level steady-state Ok-Topk: Algorithm 1 for every rank in one
+    dispatch (see the module docstring).
+
+    ``payloads[r]`` is ``(comm, allreduce, acc)``.  Runs only between
+    re-evaluations, where the thresholds and boundaries are cached and
+    no collective of the τ/τ′ schedules is due, so every rank executes
+    the same control flow on its own accumulator.  Each rank's compute
+    charges and phase contexts run in its per-rank order; the traffic is
+    the per-rank path's schedules replayed.  Returns one
+    :class:`AllreduceResult` per rank, all sharing one read-only ``u_t``.
+    """
+    from ..train.rankbatch import stack_rows
+    _, _, k, rotation, bucket_size, data_balancing, balance_trigger = sig
+    p = len(payloads)
+    comms = [pl[0] for pl in payloads]
+    entries = [(pl[0], pl[1], pl[1]._state) for pl in payloads]
+    xs = stack_rows([pl[2] for pl in payloads])
+    n = xs.shape[1]
+    boundaries = entries[0][2].boundaries
+
+    # -- lines 2-4: local selection ---------------------------------------
+    start = [c.clock for c in comms]
+    local = _select_rows(entries, xs, k, [False] * p)
+    for c, t0 in zip(comms, start):
+        c.close_phase(PHASE_SPARSIFY, t0)
+
+    # -- line 8: split and reduce -------------------------------------------
+    start = [c.clock for c in comms]
+    nnz = [v.nnz for v in local]
+    for c, m in zip(comms, nnz):
+        c.compute_scan(m)
+    row_base = np.arange(p, dtype=np.int64) * n
+    cols = np.concatenate([v.indices for v in local]).astype(np.int64)
+    vals = np.concatenate([v.values for v in local])
+    # cut[s, j]: where region j starts in rank s's selection (flat)
+    cut = np.searchsorted(
+        cols + np.repeat(row_base, nnz),
+        (row_base[:, None] + boundaries[None, :]).ravel()).reshape(p, p + 1)
+    counts = np.diff(cut, axis=1)
+    plan = _sr_plan(p, rotation, bucket_size)
+    _replay_split_reduce(net, plan, counts)
+    for c, t0 in zip(comms, start):
+        c.close_phase(PHASE_COMM, t0)
+    owners, srcs = plan.gather_owner, plan.gather_src
+    lens = counts[srcs, owners]
+    pos = np.arange(int(lens.sum())) + np.repeat(
+        cut[srcs, owners] - (np.cumsum(lens) - lens), lens)
+    keys, sums, ocut = _owner_sums(np.repeat(row_base[owners], lens)
+                                   + cols[pos], vals[pos], p, n)
+
+    # -- line 13: balance and allgatherv ---------------------------------
+    start = [c.clock for c in comms]
+    reduced_nnz = np.diff(ocut)
+    for c, m in zip(comms, reduced_nnz.tolist()):
+        c.compute_scan(m)
+    gths = [st.global_th for (_, _, st) in entries]
+    if all(g == gths[0] for g in gths):
+        mask = np.abs(sums) >= gths[0] if gths[0] > 0 else None
+    else:
+        mask = np.concatenate([
+            np.abs(sums[a:b]) >= g if g > 0 else np.ones(b - a, dtype=bool)
+            for g, a, b in zip(gths, ocut[:-1].tolist(), ocut[1:].tolist())])
+    if mask is None:
+        sizes = reduced_nnz
+    else:
+        keys, sums = keys[mask], sums[mask]
+        kept = np.concatenate(([0], np.cumsum(mask)))
+        sizes = kept[ocut[1:]] - kept[ocut[:-1]]
+    replay(net, compile_allgatherv(p, (1,) * p))      # allgather_object
+    sizes_l = sizes.tolist()
+    total = sum(sizes_l)
+    balanced = bool(data_balancing and total > 0
+                    and max(sizes_l) > balance_trigger * total / p)
+    if balanced:
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        targets = np.linspace(0, offsets[-1], p + 1).astype(np.int64)
+        lo = np.maximum(offsets[:-1, None], targets[None, :-1])
+        hi = np.minimum(offsets[1:, None], targets[None, 1:])
+        rows = 2 * np.maximum(hi - lo, 0)
+        replay(net, compile_alltoallv(p, tuple(map(tuple, rows.tolist()))))
+        package = np.diff(targets)
+        for _, _, st in entries:
+            st.balancing_triggered += 1
+    else:
+        package = sizes
+    replay(net, compile_allgatherv(p, tuple((2 * package).tolist())))
+    # Rebalancing preserves the global order, so every rank gathers the
+    # same concatenation of the selected packages in region order.
+    u_idx = (keys - np.repeat(row_base, sizes)).astype(INDEX_DTYPE)
+    u_val = sums
+    u_idx.setflags(write=False)
+    u_val.setflags(write=False)
+    u_t = COOVector(n, u_idx, u_val)
+    for c, t0 in zip(comms, start):
+        c.close_phase(PHASE_COMM, t0)
+
+    # -- line 14 -----------------------------------------------------------
+    return [AllreduceResult(
+        update=u_t,
+        contributed_indices=intersect_sorted(loc.indices, u_idx),
+        info={
+            "k": k,
+            "selected_local": loc.nnz,
+            "selected_global": u_t.nnz,
+            "local_threshold": st.local_th,
+            "global_threshold": st.global_th,
+            "balancing_triggered": balanced,
+            "boundaries": st.boundaries,
+        }) for loc, (_, _, st) in zip(local, entries)]
+
+
+#: the per-rank steps :func:`_exec_world` reproduces; a subclass that
+#: overrides any of them (the quantized variant's phase 2) keeps the
+#: per-rank path
+_WORLD_STEPS = ("_select_local", "_select_local_serial", "_repartition",
+                "_split_and_reduce", "_global_threshold",
+                "_balance_and_allgatherv", "_rebalance")
+
+
+@lru_cache(maxsize=None)
+def _world_capable(cls: type) -> bool:
+    return all(getattr(cls, name) is getattr(OkTopkAllreduce, name)
+               for name in _WORLD_STEPS)
 
 
 @dataclass
@@ -378,6 +592,21 @@ class OkTopkAllreduce(GradientAllreduce):
         super().__init__(**kwargs)
         if tau < 1 or tau_prime < 1:
             raise ValueError("tau and tau_prime must be >= 1")
+        if (isinstance(bucket_size, bool)
+                or not isinstance(bucket_size, (int, np.integer))
+                or bucket_size < 1):
+            raise ConfigError(
+                f"bucket_size must be an integer >= 1, got {bucket_size!r}")
+        if not (isinstance(balance_trigger, (int, float, np.number))
+                and math.isfinite(balance_trigger) and balance_trigger >= 0):
+            raise ConfigError(f"balance_trigger must be finite and >= 0, "
+                              f"got {balance_trigger!r}")
+        if not (isinstance(selection_guard, (int, float, np.number))
+                and selection_guard > 1):
+            # a guard <= 1 (or NaN) re-evaluates on every iteration or
+            # never, silently defeating threshold reuse
+            raise ConfigError(
+                f"selection_guard must be > 1, got {selection_guard!r}")
         self.tau = tau
         self.tau_prime = tau_prime
         self.balanced_partition = balanced_partition
@@ -678,11 +907,32 @@ class OkTopkAllreduce(GradientAllreduce):
     # ------------------------------------------------------------------
     # Algorithm 1 driver
     # ------------------------------------------------------------------
+    def _world_ready(self, comm: SimComm, st: OkTopkState, t: int) -> bool:
+        """Whether iteration ``t`` runs as one world-level dispatch
+        (:func:`_exec_world`): lockstep rank batching engaged, the fused
+        path available at this world size, and a steady-state iteration —
+        cached thresholds and boundaries, no τ/τ′ re-evaluation due.
+        Rank-uniform: every input is identical on every rank."""
+        rb = comm.rank_batch
+        return (st.boundaries is not None and st.global_th is not None
+                and st.local_th is not None
+                and not self._due(t, self.tau_prime)
+                and not self._due(t, self.tau)
+                and _world_capable(type(self))
+                and rb is not None and rb.engaged()
+                and _fused._available(comm)
+                and comm.size >= comm.net._sched.fused_min_ranks)
+
     def _reduce(self, comm: SimComm, acc: np.ndarray,
                 t: int) -> AllreduceResult:
         n = acc.size
         k = self.resolve_k(n)
-        self._reset_state_if_needed(n)
+        st = self._reset_state_if_needed(n)
+        if self._world_ready(comm, st, t):
+            return comm.fused_collective(
+                ("oktopk_world", t, k, self.rotation, self.bucket_size,
+                 self.data_balancing, self.balance_trigger),
+                (comm, self, acc), _exec_world)
 
         with comm.phase(PHASE_SPARSIFY):                 # lines 2-4
             local = self._select_local(comm, acc, k, t)

@@ -368,8 +368,14 @@ class SimComm:
         try:
             yield
         finally:
-            self._phase_times[name] = (
-                self._phase_times.get(name, 0.0) + self.clock - start)
+            self.close_phase(name, start)
+
+    def close_phase(self, name: str, start: float) -> None:
+        """Attribute the simulated time since ``start`` to ``name`` — the
+        exit half of :meth:`phase`, for world-level executors that open
+        and close every rank's phase from one dispatch."""
+        self._phase_times[name] = (
+            self._phase_times.get(name, 0.0) + self.clock - start)
 
     def phase_times(self, reset: bool = False) -> dict[str, float]:
         out = dict(self._phase_times)

@@ -111,18 +111,20 @@ class NetworkModel:
         n, k = max(0, n), max(2, k)
         return self.sort_time * n * np.log2(k)
 
-    def isend_avail(self, sender_clock: float, n: int) -> np.ndarray:
+    def isend_avail(self, sender_clock, n: int) -> np.ndarray:
         """Egress availability times of ``n`` back-to-back ``isend``
         posts: the sender's clock advances by ``o_inject`` per post, so
         message ``i`` becomes available after ``i`` charges (left-fold
-        prefix sum, matching the scalar clock accumulation).  Shared by
+        prefix sum, matching the scalar clock accumulation).  A 1-D
+        array of sender clocks gives one row per sender.  Shared by
         :meth:`repro.comm.network.Network.post_batch` and the fused
-        Ok-Topk split-and-reduce executor."""
+        Ok-Topk split-and-reduce booking."""
+        clock = np.asarray(sender_clock, dtype=np.float64)
         if self.o_inject:
-            seq = np.full(n, self.o_inject)
-            seq[0] = sender_clock
-            return seq.cumsum()
-        return np.full(n, sender_clock)
+            seq = np.full(clock.shape + (n,), self.o_inject)
+            seq[..., 0] = clock
+            return seq.cumsum(axis=-1)
+        return np.repeat(clock[..., None], n, axis=-1)
 
     # ------------------------------------------------------------------
     # Batched link booking
@@ -160,51 +162,72 @@ class NetworkModel:
         """Book a message batch on one link, bit-identical to booking each
         message individually.  Returns ``(starts, ends)``.
 
+        The one-link case of :meth:`serialize_rows` (see there for the
+        regimes it reproduces exactly)."""
+        avail = np.asarray(avail, dtype=np.float64)
+        starts, ends = self.serialize_rows(
+            np.array([free], dtype=np.float64), avail.reshape(1, -1),
+            np.asarray(nwords, dtype=np.float64).reshape(1, -1))
+        return starts[0], ends[0]
+
+    def serialize_rows(self, free: np.ndarray, avail: np.ndarray,
+                       nwords: np.ndarray,
+                       ) -> "tuple[np.ndarray, np.ndarray]":
+        """Book ``g`` message batches on ``g`` independent links at once:
+        row ``i`` serializes the messages ``avail[i]``/``nwords[i]`` on a
+        link that was free at ``free[i]``, bit-identical to booking each
+        message individually.  Returns ``(starts, ends)``, both ``(g, m)``.
+
         Two vectorized regimes reproduce the scalar fold exactly:
 
-        * **saturated** — every message is already waiting when its
-          predecessor ends; the recurrence is the left fold
-          ``((free + b0) + b1) + ...``, which is exactly what ``np.cumsum``
-          over ``[free, b0, b1, ...]`` computes;
+        * **saturated** — every message after the first is already
+          waiting when its predecessor ends; the first starts at
+          ``max(free, avail[0])`` and the recurrence is the left fold
+          ``((start0 + b0) + b1) + ...``, which is exactly what a row-wise
+          ``cumsum`` over ``[start0, b0, b1, ...]`` computes (numpy
+          accumulates sequentially, row by row);
         * **idle** — the link frees before each message becomes available;
           ``end[i] = avail[i] + b[i]`` independently.
 
-        A batch that switches regimes mid-way falls back to the scalar
-        fold (plain-float loop): the re-associated closed form
+        Rows that switch regimes mid-way fall back to the scalar fold
+        (plain-float loop): the re-associated closed form
         (:meth:`occupancy_scan`) would drift in the last ulp, breaking the
         bit-identical-across-runners/makespan contract.  Start times are
         the fold's ``max(end[i-1], avail[i])`` selections (never re-derived
         as ``end - beta*nwords``, which would also drift).
         """
         b = self.beta * np.asarray(nwords, dtype=np.float64)
-        n = b.size
         avail = np.asarray(avail, dtype=np.float64)
-        if n == 0:
+        g, m = b.shape
+        if m == 0:
             return b, b
-        # saturated fast path: prev_end[i] >= avail[i] for all i
-        # (ndarray method calls skip the np.* dispatch wrappers — this
-        # booking runs 64+ times per fused split-reduce dispatch)
-        seq = np.empty(n + 1)
-        seq[0] = free
-        seq[1:] = b
-        chain = seq.cumsum()            # chain[i] = end of message i-1
-        if (avail <= chain[:-1]).all():
-            return chain[:-1], chain[1:]
-        # idle fast path: link free before every message becomes available
-        ends = avail + b
-        if avail[0] >= free and (n == 1 or (avail[1:] >= ends[:-1]).all()):
-            return avail, ends
+        seq = np.empty((g, m + 1))
+        np.maximum(free, avail[:, 0], out=seq[:, 0])
+        seq[:, 1:] = b
+        chain = seq.cumsum(axis=1)      # chain[:, i] = start of message i
+        starts, ends = chain[:, :-1], chain[:, 1:]
+        saturated = (avail[:, 1:] <= starts[:, 1:]).all(axis=1)
+        if saturated.all():
+            return starts, ends
+        starts, ends = starts.copy(), ends.copy()
+        idle_ends = avail + b
+        idle = ((avail[:, 0] >= free)
+                & (avail[:, 1:] >= idle_ends[:, :-1]).all(axis=1))
+        idle &= ~saturated
+        starts[idle] = avail[idle]
+        ends[idle] = idle_ends[idle]
         # mixed regime: exact scalar fold over plain floats
-        end = free
-        starts = np.empty(n)
-        out = np.empty(n)
-        bl = b.tolist()
-        al = avail.tolist()
-        for i in range(n):
-            a = al[i]
-            if a > end:
-                end = a
-            starts[i] = end
-            end += bl[i]
-            out[i] = end
-        return starts, out
+        for i in np.flatnonzero(~(saturated | idle)).tolist():
+            end = float(free[i])
+            bl = b[i].tolist()
+            al = avail[i].tolist()
+            row_s = starts[i]
+            row_e = ends[i]
+            for j in range(m):
+                a = al[j]
+                if a > end:
+                    end = a
+                row_s[j] = end
+                end += bl[j]
+                row_e[j] = end
+        return starts, ends

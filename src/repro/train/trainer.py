@@ -47,6 +47,7 @@ time (the paper also excludes them from the runtime-per-iteration bars).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Protocol
 
@@ -85,6 +86,18 @@ class BatchSource(Protocol):
     def next_batch(self, t: int) -> tuple[np.ndarray, np.ndarray]: ...
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(
+        value, bool)
+
+
+def _finite_in(value: Any, lo: float, hi: float) -> bool:
+    """A finite real number (bools excluded) with ``lo <= value <= hi``."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and math.isfinite(value) and lo <= value <= hi)
+
+
 @dataclass
 class TrainerConfig:
     """Configuration of one training run."""
@@ -119,6 +132,39 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        # Numerics are checked here, once: otherwise a bad density
+        # surfaces only at the first reduce of one rank, and a NaN overlap
+        # fraction hides the backward compute behind max(0.0, nan) and
+        # reports a too-short iteration time.
+        if not _finite_in(self.overlap_backward_fraction, 0.0, 1.0):
+            raise ConfigError(
+                f"overlap_backward_fraction must be finite and in [0, 1], "
+                f"got {self.overlap_backward_fraction!r}")
+        if self.density is not None and not (
+                _finite_in(self.density, 0.0, 1.0) and self.density > 0.0):
+            raise ConfigError(
+                f"density must be finite and in (0, 1], got {self.density!r}")
+        if self.k is not None and not (_is_int(self.k) and self.k >= 1):
+            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
+        if not callable(self.lr) and not (
+                _finite_in(self.lr, 0.0, math.inf) and self.lr > 0.0):
+            raise ConfigError(
+                f"lr must be a schedule or a finite number > 0, "
+                f"got {self.lr!r}")
+        for name in ("momentum", "weight_decay"):
+            if not _finite_in(getattr(self, name), 0.0, math.inf):
+                raise ConfigError(f"{name} must be finite and >= 0, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not (_finite_in(value, 0.0, 1.0) and value < 1.0):
+                raise ConfigError(
+                    f"{name} must be in [0, 1), got {value!r}")
+        for name in ("eval_every", "xi_every"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be an integer >= 0, got {value!r}")
         if self.mode not in ("sgd", "adam"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.bucket_size is not None and self.bucket_size < 1:

@@ -1,5 +1,9 @@
 """The benchmark harness itself: proxies, projections, formatting."""
 
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,3 +70,32 @@ class TestPaperScaleProjection:
             totals = {s: paper_scale_breakdown(model, s, 256)["total"]
                       for s in PAPER_ORDER}
             assert totals["oktopk"] == min(totals.values()), (model, totals)
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON (RFC 8259)")
+
+
+class TestBenchPerfJson:
+    """BENCH_PERF.json is strict JSON: undefined metrics are ``null``."""
+
+    def test_committed_file_has_no_bare_nan(self):
+        text = (REPO_ROOT / "BENCH_PERF.json").read_text()
+        json.loads(text, parse_constant=_reject_constant)
+
+    def test_writer_turns_undefined_metrics_into_null(self):
+        spec = importlib.util.spec_from_file_location(
+            "bench_perf_wallclock",
+            REPO_ROOT / "benchmarks" / "bench_perf_wallclock.py")
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        out = mod._undefined_as_null(
+            {"itl_p50": float("nan"), "rows": [1.5, float("inf")],
+             "n": 3, "name": "x"})
+        assert out == {"itl_p50": None, "rows": [1.5, None], "n": 3,
+                       "name": "x"}
+        json.loads(json.dumps(out, allow_nan=False),
+                   parse_constant=_reject_constant)

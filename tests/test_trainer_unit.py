@@ -5,6 +5,7 @@ import pytest
 from repro.allreduce import DenseAllreduce, OkTopkAllreduce
 from repro.comm import NetworkModel, run_spmd
 from repro.data import ShardedLoader, make_an4_like
+from repro.errors import ConfigError
 from repro.nn.models import make_lstm_speech_model
 from repro.train import Trainer, TrainerConfig, build_allreduce
 
@@ -30,6 +31,76 @@ class TestBuildAllreduce:
                             scheme_kwargs={"tau": 5, "rotation": False})
         algo = build_allreduce(cfg)
         assert algo.tau == 5 and not algo.rotation
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestTrainerConfigValidation:
+    """Numeric fields are rejected at construction, not at the first
+    reduce of one rank (density) or never (a NaN overlap fraction hid the
+    backward compute behind ``max(0.0, nan)``)."""
+
+    @staticmethod
+    def _make(**kwargs):
+        return TrainerConfig(iterations=1, scheme="oktopk", **kwargs)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -1.0, 5.0])
+    def test_overlap_backward_fraction(self, value):
+        with pytest.raises(ConfigError, match="overlap_backward_fraction"):
+            self._make(density=0.1, overlap_backward_fraction=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF, 0.0, -0.5, 1.5])
+    def test_density(self, value):
+        with pytest.raises(ConfigError, match="density"):
+            self._make(density=value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True])
+    def test_k(self, value):
+        with pytest.raises(ConfigError, match="k must"):
+            self._make(density=None, k=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF, 0.0, -0.1])
+    def test_lr(self, value):
+        with pytest.raises(ConfigError, match="lr"):
+            self._make(density=0.1, lr=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -0.9])
+    def test_momentum(self, value):
+        with pytest.raises(ConfigError, match="momentum"):
+            self._make(density=0.1, momentum=value)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -1e-4])
+    def test_weight_decay(self, value):
+        with pytest.raises(ConfigError, match="weight_decay"):
+            self._make(density=0.1, weight_decay=value)
+
+    @pytest.mark.parametrize("value", [NAN, -0.1, 1.0, 1.5])
+    def test_adam_beta1(self, value):
+        with pytest.raises(ConfigError, match="adam_beta1"):
+            self._make(density=0.1, adam_beta1=value)
+
+    @pytest.mark.parametrize("value", [NAN, -0.1, 1.0, 1.5])
+    def test_adam_beta2(self, value):
+        with pytest.raises(ConfigError, match="adam_beta2"):
+            self._make(density=0.1, adam_beta2=value)
+
+    @pytest.mark.parametrize("value", [-1, 1.5])
+    def test_eval_every(self, value):
+        with pytest.raises(ConfigError, match="eval_every"):
+            self._make(density=0.1, eval_every=value)
+
+    @pytest.mark.parametrize("value", [-1, 2.5])
+    def test_xi_every(self, value):
+        with pytest.raises(ConfigError, match="xi_every"):
+            self._make(density=0.1, xi_every=value)
+
+    def test_boundary_values_accepted(self):
+        self._make(density=1.0, overlap_backward_fraction=0.0, lr=1e-9,
+                   momentum=0.0, weight_decay=0.0, adam_beta1=0.0,
+                   adam_beta2=0.0, eval_every=0, xi_every=0)
+        self._make(density=None, k=1, overlap_backward_fraction=1.0,
+                   lr=lambda t: 0.1)
 
 
 def _tiny_setup(comm, cfg):
